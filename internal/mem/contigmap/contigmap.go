@@ -49,6 +49,7 @@ func (c *Cluster) String() string {
 // keeps one per NUMA node, mirroring the per-zone buddy instance.
 type Map struct {
 	frames    *frame.Table
+	zone      *buddy.Buddy // the allocator whose MAX_ORDER list this maps
 	byID      map[uint32]*Cluster
 	head      *Cluster // lowest-address cluster
 	nextID    uint32
@@ -62,6 +63,7 @@ type Map struct {
 func New(frames *frame.Table, b *buddy.Buddy) *Map {
 	m := &Map{
 		frames: frames,
+		zone:   b,
 		byID:   make(map[uint32]*Cluster),
 		nextID: 1,
 	}
@@ -198,9 +200,11 @@ func (m *Map) advanceRover(start addr.PFN, pages uint64, clusterEnd addr.PFN) {
 // --- buddy hook handlers ---
 
 // clusterOfBlock returns the cluster owning the free MAX_ORDER block at
-// head, if any, via the frame back-pointer.
+// head, if any, via the frame back-pointer. A head outside the zone has
+// no cluster here, and its frame record is not read: it belongs to a
+// neighbouring zone, which a sharded machine steps on another goroutine.
 func (m *Map) clusterOfBlock(head addr.PFN) *Cluster {
-	if !m.frames.Contains(head) {
+	if !m.zone.Contains(head) {
 		return nil
 	}
 	id := m.frames.Get(head).Cluster

@@ -209,6 +209,33 @@ func TestViewNeverExhaustsUnviewedZones(t *testing.T) {
 	}
 }
 
+// TestViewsAtZoneBoundaryShareNothing steps two views whose zones
+// adjoin from two goroutines, churning the MAX_ORDER blocks on either
+// side of the boundary. Under -race it fails if one zone's contiguity
+// map reads the frame records of the other's boundary block.
+func TestViewsAtZoneBoundaryShareNothing(t *testing.T) {
+	m := twoZone(t)
+	boundary := m.Zones[1].Base
+	churn := func(v *Machine, pfn addr.PFN, done chan<- error) {
+		for i := 0; i < 200; i++ {
+			if err := v.AllocBlockAt(pfn, addr.MaxOrder); err != nil {
+				done <- err
+				return
+			}
+			v.FreeBlock(pfn, addr.MaxOrder)
+		}
+		done <- nil
+	}
+	done := make(chan error, 2)
+	go churn(m.View(0), boundary-addr.MaxOrderPages, done)
+	go churn(m.View(1), boundary, done)
+	for i := 0; i < 2; i++ {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestViewRecycleIsNoOp(t *testing.T) {
 	m := twoZone(t)
 	v := m.View(0)

@@ -146,7 +146,7 @@ func (k *Kernel) anonFault(p *Process, v *vma.VMA, va addr.VirtAddr, order int, 
 	}
 	k.Machine.Frames.Get(pfn).MapCount++
 	if k.Policy.MarksContiguity() {
-		k.markContiguity(p.PT, va, pfn, order)
+		p.PT.MarkContig(va, k.ContigThresholdPages)
 	}
 	return nil
 }
@@ -197,7 +197,7 @@ func (k *Kernel) cowFault(p *Process, v *vma.VMA, va addr.VirtAddr) error {
 	lat := k.faultLatency(order, placed) + addr.OrderPages(order)*CopyPageNs
 	k.recordFault(FaultCoW, base, lat)
 	if k.Policy.MarksContiguity() {
-		k.markContiguity(p.PT, base, newPFN, order)
+		p.PT.MarkContig(base, k.ContigThresholdPages)
 	}
 	return nil
 }
@@ -240,58 +240,6 @@ func (p *Process) Fork() *Process {
 		}
 	})
 	return child
-}
-
-// markContiguity implements the PTE contiguity-bit protocol of §IV-C:
-// after a successful allocation the OS checks whether the new mapping
-// extends a contiguous run past the threshold, and if so tags the run's
-// PTEs so the hardware walker will feed SpOT. The backward walk stops
-// at the first already-tagged entry (a tagged run is by construction
-// already past the threshold), keeping the amortised cost O(1).
-func (k *Kernel) markContiguity(pt *pagetable.Table, va addr.VirtAddr, pfn addr.PFN, order int) {
-	runPages := addr.OrderPages(order)
-	// Walk backwards over VA-adjacent leaves that are also physically
-	// adjacent (same offset).
-	var walked []addr.VirtAddr
-	curVA, curPFN := va, pfn
-	thresholdMet := false
-	for {
-		if curVA < addr.PageSize { // underflow guard
-			break
-		}
-		prevVA := curVA - addr.PageSize // last page of the predecessor leaf
-		pte, pages, ok := pt.Lookup(prevVA)
-		if !ok {
-			break
-		}
-		// The predecessor leaf must end exactly where we begin, both
-		// virtually (guaranteed: Lookup(prev page)) and physically.
-		if pte.PFN+addr.PFN(pages) != curPFN {
-			break
-		}
-		leafVA := curVA - addr.VirtAddr(pages*addr.PageSize)
-		if pte.Flags.Has(pagetable.Contig) {
-			thresholdMet = true
-			break
-		}
-		walked = append(walked, leafVA)
-		runPages += pages
-		curVA, curPFN = leafVA, pte.PFN
-		if runPages >= k.ContigThresholdPages {
-			thresholdMet = true
-			break
-		}
-	}
-	if runPages >= k.ContigThresholdPages {
-		thresholdMet = true
-	}
-	if !thresholdMet {
-		return
-	}
-	pt.SetContig(va, true)
-	for _, w := range walked {
-		pt.SetContig(w, true)
-	}
 }
 
 // MigratePage moves the leaf mapping at va to dst (same size block,

@@ -126,6 +126,8 @@ type Process struct {
 	lastLeafBase addr.VirtAddr
 	lastLeafSpan uint64
 	lastLeafGen  uint64
+
+	pt pagetable.Table // PT's storage, so a process is one allocation
 }
 
 // Kernel bundles the machine, the placement policy, the page cache, and
@@ -172,6 +174,10 @@ type Kernel struct {
 	// machine's buddy mutation counters it brackets windows in which a
 	// daemon's inputs cannot have changed (the fixed-point memo key).
 	mutSeq uint64
+
+	// ptNodes recycles page-table nodes among this kernel's processes:
+	// churn that tears tables down and builds new ones allocates none.
+	ptNodes pagetable.FreeList
 
 	procs  []*Process
 	nextID int
@@ -239,10 +245,11 @@ func (k *Kernel) NewProcess(homeZone int) *Process {
 	p := &Process{
 		ID:       k.nextID,
 		HomeZone: homeZone,
-		PT:       pagetable.NewWithLevels(k.PageTableLevels),
 		kernel:   k,
 		nextVA:   0x10_0000_0000, // 64 GiB: clear of null/low mappings
 	}
+	k.ptNodes.InitTable(&p.pt, k.PageTableLevels, p.ID)
+	p.PT = &p.pt
 	k.procs = append(k.procs, p)
 	return p
 }
@@ -295,25 +302,22 @@ func (p *Process) mmap(size uint64, kind vma.Kind, fileID int, fileOff uint64) (
 func (p *Process) MUnmap(v *vma.VMA) {
 	k := p.kernel
 	k.mutSeq++
-	for va := v.Start; va < v.End; {
-		pte, pages, ok := p.PT.Unmap(va)
-		if !ok {
-			va = va.Add(addr.PageSize)
-			continue
-		}
-		f := k.Machine.Frames.Get(pte.PFN)
+	p.PT.UnmapRange(v.Start, v.End, func(l pagetable.Leaf) {
+		f := k.Machine.Frames.Get(l.PTE.PFN)
 		f.MapCount--
 		if f.MapCount <= 0 && v.Kind == vma.Anonymous {
-			k.Machine.FreeBlock(pte.PFN, addr.LeafOrder(pages))
+			k.Machine.FreeBlock(l.PTE.PFN, addr.LeafOrder(l.Pages))
 		}
-		p.RSSPages -= pages
-		va = va.Add(pages * addr.PageSize)
-	}
+		p.RSSPages -= l.Pages
+	})
 	v.MappedPages = 0
 	p.VMAs.Remove(v)
 }
 
-// Exit tears down every VMA of the process.
+// Exit tears down every VMA of the process and returns its page table
+// to the kernel's node list. The last-leaf memo is dropped with it: its
+// node may be handed to another process, and with the memo gone any
+// later use of the exited process's table panics naming the process.
 func (p *Process) Exit() {
 	p.kernel.mutSeq++
 	var all []*vma.VMA
@@ -321,6 +325,8 @@ func (p *Process) Exit() {
 	for _, v := range all {
 		p.MUnmap(v)
 	}
+	p.lastLeaf = nil
+	p.PT.Release()
 	k := p.kernel
 	for i, q := range k.procs {
 		if q == p {

@@ -85,10 +85,45 @@ type Observer interface {
 	Redirected(va addr.VirtAddr, pages uint64)
 }
 
+// FreeList recycles emptied page-table nodes among the tables built
+// from it. A node is pushed only once its live count is zero, and a
+// node with no live slot is all-zero (every mutation that empties a
+// slot zeroes it), so a popped node needs no clearing. A FreeList has
+// one owner and no lock: an osim.Kernel, stepped by one goroutine.
+type FreeList struct {
+	nodes []*node
+}
+
+func (f *FreeList) get() *node {
+	if n := len(f.nodes); n > 0 {
+		nd := f.nodes[n-1]
+		f.nodes[n-1] = nil
+		f.nodes = f.nodes[:n-1]
+		return nd
+	}
+	return &node{}
+}
+
+// InitTable makes *t an empty table whose nodes come from f and return
+// to it as they empty. levels is the depth: 4 is today's x86-64 layout,
+// 5 the LA57 extension the paper's introduction cites as further
+// raising walk costs; other depths panic. owner names the table in the
+// panic any use after Release raises. Initialising in place lets the
+// owner embed the table.
+func (f *FreeList) InitTable(t *Table, levels, owner int) {
+	if levels < 4 || levels > 5 {
+		panic(fmt.Sprintf("pagetable: unsupported depth %d", levels))
+	}
+	*t = Table{root: f.get(), top: levels - 1, free: f, owner: owner}
+}
+
 // Table is a multi-level (4- or 5-level) page table.
 type Table struct {
-	root *node
-	top  int // top level index: 3 for 4-level, 4 for 5-level
+	root *node // nil once released
+	top  int   // top level index: 3 for 4-level, 4 for 5-level
+
+	free  *FreeList // node source and sink; nil allocates fresh nodes
+	owner int       // named in use-after-release panics
 
 	obs []Observer // mapping-event subscribers (usually empty)
 
@@ -111,14 +146,55 @@ type Table struct {
 // New creates an empty 4-level table (PGD..PT).
 func New() *Table { return &Table{root: &node{}, top: 3} }
 
-// NewWithLevels creates a table with the given depth: 4 is today's
-// x86-64 layout, 5 the LA57 extension the paper's introduction cites as
-// further raising walk costs. Levels outside [4,5] panic.
-func NewWithLevels(levels int) *Table {
-	if levels < 4 || levels > 5 {
-		panic(fmt.Sprintf("pagetable: unsupported depth %d", levels))
+// rootNode returns the root, panicking if the table was released: its
+// nodes may already belong to another table of the same FreeList.
+func (t *Table) rootNode() *node {
+	if t.root == nil {
+		t.panicReleased()
 	}
-	return &Table{root: &node{}, top: levels - 1}
+	return t.root
+}
+
+func (t *Table) panicReleased() {
+	panic(fmt.Sprintf("pagetable: use of released table (owner %d)", t.owner))
+}
+
+func (t *Table) newNode() *node {
+	if t.free != nil {
+		return t.free.get()
+	}
+	return &node{}
+}
+
+// freeNode takes an emptied (hence all-zero) node out of service.
+func (t *Table) freeNode(n *node) {
+	if t.free != nil {
+		t.free.nodes = append(t.free.nodes, n)
+	}
+}
+
+// Release retires the table, returning every node to its FreeList.
+// Nodes still holding leaves are zeroed first; a torn-down table is
+// down to its empty root, so that is the rare path. Any later use of
+// the table panics naming its owner.
+func (t *Table) Release() {
+	root := t.rootNode()
+	t.root = nil
+	t.release(root, t.top)
+}
+
+func (t *Table) release(n *node, level int) {
+	if n.live != 0 {
+		if level > 0 {
+			for _, c := range n.children {
+				if c != nil {
+					t.release(c, level-1)
+				}
+			}
+		}
+		*n = node{}
+	}
+	t.freeNode(n)
 }
 
 // Levels returns the table depth.
@@ -148,7 +224,7 @@ func index(v addr.VirtAddr, level int) int {
 // walk touched (1 per level descended) — the quantity the hardware walk
 // cost model consumes.
 func (t *Table) Walk(v addr.VirtAddr) (pte PTE, level int, steps int, ok bool) {
-	n := t.root
+	n := t.rootNode()
 	for l := t.top; l >= 0; l-- {
 		steps++
 		i := index(v, l)
@@ -191,7 +267,7 @@ func (t *Table) Translate(v addr.VirtAddr) (addr.PhysAddr, bool) {
 // path. Returns nil when a huge leaf blocks the path or a node is
 // missing (and !create).
 func (t *Table) descend(v addr.VirtAddr, level int, create bool) *node {
-	n := t.root
+	n := t.rootNode()
 	for l := t.top; l > level; l-- {
 		i := index(v, l)
 		if l == HugeLevel && n.huge[i] {
@@ -201,7 +277,7 @@ func (t *Table) descend(v addr.VirtAddr, level int, create bool) *node {
 			if !create {
 				return nil
 			}
-			n.children[i] = &node{}
+			n.children[i] = t.newNode()
 			n.live++
 		}
 		n = n.children[i]
@@ -248,11 +324,14 @@ func (t *Table) Map2M(v addr.VirtAddr, pfn addr.PFN, flags Flags) {
 		panic(fmt.Sprintf("pagetable: Map2M %v blocked", v))
 	}
 	i := index(v, HugeLevel)
-	if n.children[i] != nil && n.children[i].live == 0 {
-		// Reclaim an emptied PT-level table (e.g. after huge-page
-		// promotion unmapped all 512 base entries).
+	if c := n.children[i]; c != nil && c.live == 0 {
+		// Per-leaf Unmap leaves an emptied PT table attached; huge-page
+		// promotion, which unmaps all 512 base entries before mapping
+		// the 2 MiB leaf, arrives here with one. Detach it and return
+		// it to the list.
 		n.children[i] = nil
 		n.live--
+		t.freeNode(c)
 	}
 	if n.huge[i] || n.children[i] != nil {
 		panic(fmt.Sprintf("pagetable: Map2M double map at %v", v))
@@ -297,7 +376,7 @@ func (t *Table) Lookups() uint64 { return t.lookups }
 // Returns the leaf size in base pages.
 func (t *Table) Lookup(v addr.VirtAddr) (pte *PTE, pages uint64, ok bool) {
 	t.lookups++
-	n := t.root
+	n := t.rootNode()
 	for l := t.top; l >= 0; l-- {
 		i := index(v, l)
 		if l == HugeLevel && n.huge[i] {
@@ -411,17 +490,107 @@ func (t *Table) SetContig(v addr.VirtAddr, on bool) bool {
 	if !ok {
 		return false
 	}
-	had := pte.Flags.Has(Contig)
-	if on && !had {
-		pte.Flags |= Contig
-		t.ContigBits++
-		t.gen++
-	} else if !on && had {
+	if on {
+		t.setContig(pte)
+	} else if pte.Flags.Has(Contig) {
 		pte.Flags &^= Contig
 		t.ContigBits--
 		t.gen++
 	}
 	return true
+}
+
+func (t *Table) setContig(e *PTE) {
+	if !e.Flags.Has(Contig) {
+		e.Flags |= Contig
+		t.ContigBits++
+		t.gen++
+	}
+}
+
+// contigStack is how many walked leaves MarkContig tracks on the stack:
+// a walk tags at most threshold-1 leaves, so the paper's 32-page
+// threshold never spills to the heap.
+const contigStack = 32
+
+// MarkContig runs the PTE contiguity-bit protocol of §IV-C for the leaf
+// just mapped at va: if the leaf extends a VA- and PA-contiguous run to
+// at least threshold base pages, the leaf and the untagged part of the
+// run get the Contig bit, so the walker will feed SpOT. The walk goes
+// backward one predecessor leaf at a time, at least one step even when
+// the new leaf alone meets the threshold, and stops at the first
+// already-tagged leaf (a tagged run is by construction past the
+// threshold), keeping the amortised cost O(1). Predecessors are found
+// through the current PMD table; the walk descends from the root only
+// when it leaves that table's 1 GiB.
+func (t *Table) MarkContig(va addr.VirtAddr, threshold uint64) {
+	c := leafCursor{t: t}
+	e, run := c.at(va)
+	if e == nil {
+		panic(fmt.Sprintf("pagetable: MarkContig at unmapped %v", va))
+	}
+	var buf [contigStack]*PTE
+	walked := buf[:0]
+	cur, curPFN := va, e.PFN
+	met := false
+	for cur >= addr.PageSize {
+		prev, pages := c.at(cur - addr.PageSize)
+		if prev == nil || prev.PFN+addr.PFN(pages) != curPFN {
+			break
+		}
+		if prev.Flags.Has(Contig) {
+			met = true
+			break
+		}
+		walked = append(walked, prev)
+		run += pages
+		cur, curPFN = cur-addr.VirtAddr(pages*addr.PageSize), prev.PFN
+		if run >= threshold {
+			break
+		}
+	}
+	if !met && run < threshold {
+		return
+	}
+	t.setContig(e)
+	for _, w := range walked {
+		t.setContig(w)
+	}
+}
+
+// leafCursor resolves the leaves of one neighbourhood, keeping the PMD
+// (HugeLevel) table it last descended to and descending from the root
+// again only for an address outside that table's 1 GiB.
+type leafCursor struct {
+	t      *Table
+	pmd    *node
+	region uint64 // 1 GiB region pmd covers, valid while pmd != nil
+}
+
+const pmdShift = addr.PageShift + 2*fanoutBits
+
+// at returns the present leaf covering v and its size in base pages,
+// or nil.
+func (c *leafCursor) at(v addr.VirtAddr) (*PTE, uint64) {
+	if r := uint64(v) >> pmdShift; c.pmd == nil || r != c.region {
+		c.pmd, c.region = c.t.descend(v, HugeLevel, false), r
+		if c.pmd == nil {
+			return nil, 0
+		}
+	}
+	i := index(v, HugeLevel)
+	e, pages := &c.pmd.leaves[i], uint64(512)
+	if !c.pmd.huge[i] {
+		child := c.pmd.children[i]
+		if child == nil {
+			return nil, 0
+		}
+		e, pages = &child.leaves[index(v, 0)], 1
+	}
+	if !e.Present() {
+		return nil, 0
+	}
+	return e, pages
 }
 
 // Redirect points the leaf covering v at a new frame, preserving its
@@ -448,43 +617,20 @@ func (t *Table) Redirect(v addr.VirtAddr, pfn addr.PFN) bool {
 // Unmap removes the leaf translation covering v (whatever its size) and
 // returns the entry it held along with its size in base pages.
 func (t *Table) Unmap(v addr.VirtAddr) (PTE, uint64, bool) {
-	n := t.root
+	n := t.rootNode()
 	for l := t.top; l >= 0; l-- {
 		i := index(v, l)
 		if l == HugeLevel && n.huge[i] {
-			e := n.leaves[i]
-			if !e.Present() {
+			if !n.leaves[i].Present() {
 				return PTE{}, 0, false
 			}
-			n.huge[i] = false
-			n.leaves[i] = PTE{}
-			n.live--
-			t.mapped2M--
-			t.gen++
-			if e.Flags.Has(Contig) {
-				t.ContigBits--
-			}
-			for _, o := range t.obs {
-				o.Unmapped(v.HugeDown(), 512)
-			}
-			return e, 512, true
+			return t.clearLeaf(n, i, v.HugeDown(), 512), 512, true
 		}
 		if l == 0 {
-			e := n.leaves[i]
-			if !e.Present() {
+			if !n.leaves[i].Present() {
 				return PTE{}, 0, false
 			}
-			n.leaves[i] = PTE{}
-			n.live--
-			t.mapped4K--
-			t.gen++
-			if e.Flags.Has(Contig) {
-				t.ContigBits--
-			}
-			for _, o := range t.obs {
-				o.Unmapped(v.PageDown(), 1)
-			}
-			return e, 1, true
+			return t.clearLeaf(n, i, v.PageDown(), 1), 1, true
 		}
 		if n.children[i] == nil {
 			return PTE{}, 0, false
@@ -492,6 +638,80 @@ func (t *Table) Unmap(v addr.VirtAddr) (PTE, uint64, bool) {
 		n = n.children[i]
 	}
 	return PTE{}, 0, false
+}
+
+// clearLeaf empties the present leaf in slot i of n, which maps base
+// (pages base pages), accounts for it and notifies observers. It
+// returns the entry the slot held.
+func (t *Table) clearLeaf(n *node, i int, base addr.VirtAddr, pages uint64) PTE {
+	e := n.leaves[i]
+	n.leaves[i] = PTE{}
+	n.huge[i] = false
+	n.live--
+	if pages == 512 {
+		t.mapped2M--
+	} else {
+		t.mapped4K--
+	}
+	t.gen++
+	if e.Flags.Has(Contig) {
+		t.ContigBits--
+	}
+	for _, o := range t.obs {
+		o.Unmapped(base, pages)
+	}
+	return e
+}
+
+// UnmapRange removes every leaf overlapping [lo, hi) in one ascending
+// walk, the mirror of VisitRange. Each leaf is cleared and reported to
+// observers exactly as Unmap would, then handed to fn, so a caller
+// releasing frames in fn releases them in the order a per-page Unmap
+// loop over the range would. Nodes the walk empties are detached and
+// returned to the table's FreeList.
+func (t *Table) UnmapRange(lo, hi addr.VirtAddr, fn func(Leaf)) {
+	if lo < hi {
+		t.unmapRange(t.rootNode(), t.top, 0, lo, hi, fn)
+	}
+}
+
+// slotWindow returns the VA span of one slot of a level-level node
+// mapping from base, and the first and last slots overlapping [lo, hi).
+func slotWindow(level int, base, lo, hi addr.VirtAddr) (span addr.VirtAddr, first, last int) {
+	span = addr.VirtAddr(1) << (addr.PageShift + uint(level)*fanoutBits)
+	first, last = 0, fanout-1
+	if lo > base {
+		first = int((lo - base) / span)
+	}
+	if end := base + addr.VirtAddr(fanout)*span; hi < end {
+		last = int((hi - 1 - base) / span)
+	}
+	return span, first, last
+}
+
+func (t *Table) unmapRange(n *node, level int, base addr.VirtAddr, lo, hi addr.VirtAddr, fn func(Leaf)) {
+	span, first, last := slotWindow(level, base, lo, hi)
+	for i := first; i <= last; i++ {
+		va := base + addr.VirtAddr(i)*span
+		switch {
+		case level == HugeLevel && n.huge[i]:
+			if n.leaves[i].Present() {
+				fn(Leaf{VA: va, PTE: t.clearLeaf(n, i, va, 512), Pages: 512})
+			}
+		case level == 0:
+			if n.leaves[i].Present() {
+				fn(Leaf{VA: va, PTE: t.clearLeaf(n, i, va, 1), Pages: 1})
+			}
+		case n.children[i] != nil:
+			c := n.children[i]
+			t.unmapRange(c, level-1, va, lo, hi, fn)
+			if c.live == 0 {
+				n.children[i] = nil
+				n.live--
+				t.freeNode(c)
+			}
+		}
+	}
 }
 
 // Leaf is one mapped extent reported by Visit.
@@ -503,7 +723,7 @@ type Leaf struct {
 
 // Visit walks all leaves in ascending virtual-address order.
 func (t *Table) Visit(fn func(Leaf)) {
-	t.visit(t.root, t.top, 0, fn)
+	t.visit(t.rootNode(), t.top, 0, fn)
 }
 
 func (t *Table) visit(n *node, level int, base addr.VirtAddr, fn func(Leaf)) {
@@ -536,18 +756,11 @@ func (t *Table) VisitRange(lo, hi addr.VirtAddr, fn func(Leaf) bool) bool {
 	if lo >= hi {
 		return true
 	}
-	return t.visitRange(t.root, t.top, 0, lo, hi, fn)
+	return t.visitRange(t.rootNode(), t.top, 0, lo, hi, fn)
 }
 
 func (t *Table) visitRange(n *node, level int, base addr.VirtAddr, lo, hi addr.VirtAddr, fn func(Leaf) bool) bool {
-	span := addr.VirtAddr(1) << (addr.PageShift + uint(level)*fanoutBits)
-	first, last := 0, fanout-1
-	if lo > base {
-		first = int((lo - base) / span)
-	}
-	if end := base + addr.VirtAddr(fanout)*span; hi < end {
-		last = int((hi - 1 - base) / span)
-	}
+	span, first, last := slotWindow(level, base, lo, hi)
 	for i := first; i <= last; i++ {
 		va := base + addr.VirtAddr(i)*span
 		switch {

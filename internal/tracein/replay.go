@@ -188,6 +188,7 @@ type rshard struct {
 	daemons []workloads.Daemon
 	tenants map[uint32]*rtenant
 	hogs    [][]workloads.HogExtent
+	hogRng  *rand.Rand // reseeded per hog event; one source, not one per event
 	budget  uint64
 	mapped  uint64
 	live    uint64
@@ -252,6 +253,7 @@ func NewEngine(cfg ReplayConfig) (*Engine, error) {
 			idx:     i,
 			kern:    k,
 			tenants: make(map[uint32]*rtenant),
+			hogRng:  rand.New(rand.NewSource(0)),
 			budget:  k.Machine.TotalPages() * budgetPct / 100,
 		}
 		if cfg.Daemons {
@@ -530,8 +532,9 @@ func (s *rshard) apply(e *Engine, ev Event) error {
 			break
 		}
 		frac := float64(2+ev.Arg0%9) / 100
-		rng := rand.New(rand.NewSource(int64(evMix(ev) >> 1)))
-		ext := workloads.Hog(s.kern.Machine, frac, rng)
+		// Seed restarts the sequence a fresh NewSource(seed) would give.
+		s.hogRng.Seed(int64(evMix(ev) >> 1))
+		ext := workloads.Hog(s.kern.Machine, frac, s.hogRng)
 		if len(ext) == 0 {
 			s.skipped.Add(1)
 			break
