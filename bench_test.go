@@ -315,52 +315,111 @@ func auditFixture(tb testing.TB, zoneBlocks []uint64) (*zone.Machine, *osim.Kern
 	return m, k
 }
 
+// campaignAuditFixture builds the machine an aging campaign audits
+// mid-run: the figAging host (2 zones x 160 MAX_ORDER blocks) with one
+// boot-pinned block per zone, a tenant in each zone (a THP-backed
+// region plus a 4 KiB-mapped tail), and a page cache of 40 16 MiB files
+// of which every fourth was dropped again — 30 resident files, 122880
+// cached pages. It returns the boot pins for the audit.
+func campaignAuditFixture(tb testing.TB) (*zone.Machine, *osim.Kernel, []check.Extent) {
+	tb.Helper()
+	m := zone.NewMachine(zone.Config{
+		ZonePages: []uint64{160 * addr.MaxOrderPages, 160 * addr.MaxOrderPages},
+	})
+	k := osim.NewKernel(m, osim.DefaultPolicy{})
+	k.BootReserve(1)
+	var pinned []check.Extent
+	for i, z := range m.Zones {
+		pinned = append(pinned, check.Extent{PFN: uint64(z.Base), Pages: addr.MaxOrderPages})
+		env := workloads.NewNativeEnv(k, i)
+		for _, bytes := range []uint64{64 << 20, 3<<20 + 20<<12} {
+			v, err := env.MMap(bytes)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			if err := env.Populate(v); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < 40; i++ {
+		f := k.Cache.CreateFile(16 << 20)
+		if err := k.Cache.Read(f, 0, 16<<20); err != nil {
+			tb.Fatal(err)
+		}
+		if i%4 == 3 {
+			k.Cache.DropFile(f)
+		}
+	}
+	return m, k, pinned
+}
+
 // TestAuditorZeroAllocs pins the audit arena's steady-state contract: a
 // warm Auditor re-auditing a settled machine performs zero heap
-// allocations. The single-zone machine keeps the check strict — the
-// multi-zone fan-out spawns goroutines, whose stacks the runtime may
-// count as allocations.
+// allocations, on one zone and on two, where the zones are checked on
+// their own goroutines. The cache holds several files, one of them
+// dropped, so the per-file cache visitor is covered too.
 func TestAuditorZeroAllocs(t *testing.T) {
-	m, k := auditFixture(t, []uint64{8})
-	a := check.NewAuditor(m)
-	if err := a.Audit(k, nil); err != nil {
-		t.Fatal(err)
-	}
-	avg := testing.AllocsPerRun(50, func() {
+	for _, blocks := range [][]uint64{{8}, {8, 8}} {
+		m, k := auditFixture(t, blocks)
+		for i := 0; i < 3; i++ {
+			f := k.Cache.CreateFile(1 << 20)
+			if err := k.Cache.Read(f, 0, 1<<20); err != nil {
+				t.Fatal(err)
+			}
+			if i == 1 {
+				k.Cache.DropFile(f)
+			}
+		}
+		a := check.NewAuditor(m)
 		if err := a.Audit(k, nil); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if avg != 0 {
-		t.Fatalf("warm Auditor.Audit allocates %v per run, want 0", avg)
+		avg := testing.AllocsPerRun(50, func() {
+			if err := a.Audit(k, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if avg != 0 {
+			t.Fatalf("%d zones: warm Auditor.Audit allocates %v per run, want 0", len(blocks), avg)
+		}
 	}
 }
 
 // BenchmarkAuditKernels measures the audit engine itself on a small
-// machine and on one the size of the figAging campaign host (2 NUMA
-// zones x 160 MAX_ORDER blocks), where the flat-array sweep replaced
-// the map-based accounting that dominated campaign runtime.
+// machine, on one the size of the figAging campaign host (2 NUMA zones
+// x 160 MAX_ORDER blocks) and on that host populated the way a
+// campaign leaves it (campaignAuditFixture). ns/frame is the cost per
+// audited frame.
 func BenchmarkAuditKernels(b *testing.B) {
 	for _, tc := range []struct {
-		name   string
-		blocks []uint64
+		name    string
+		fixture func(testing.TB) (*zone.Machine, *osim.Kernel, []check.Extent)
 	}{
-		{"small-1x8", []uint64{8}},
-		{"campaign-2x160", []uint64{160, 160}},
+		{"small-1x8", func(tb testing.TB) (*zone.Machine, *osim.Kernel, []check.Extent) {
+			m, k := auditFixture(tb, []uint64{8})
+			return m, k, nil
+		}},
+		{"campaign-2x160", func(tb testing.TB) (*zone.Machine, *osim.Kernel, []check.Extent) {
+			m, k := auditFixture(tb, []uint64{160, 160})
+			return m, k, nil
+		}},
+		{"campaign-shaped", campaignAuditFixture},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			m, k := auditFixture(b, tc.blocks)
+			m, k, pinned := tc.fixture(b)
 			a := check.NewAuditor(m)
-			if err := a.Audit(k, nil); err != nil {
+			if err := a.Audit(k, pinned); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := a.Audit(k, nil); err != nil {
+				if err := a.Audit(k, pinned); err != nil {
 					b.Fatal(err)
 				}
 			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(m.Frames.Len()), "ns/frame")
 		})
 	}
 }

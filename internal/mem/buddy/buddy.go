@@ -543,55 +543,79 @@ func (b *Buddy) ScratchWords() int { return int((b.npages + 63) / 64) }
 // CheckInvariants validates the allocator's internal consistency. It is
 // exercised by tests (including property-based ones) and is deliberately
 // thorough rather than fast. It allocates its own coverage scratch; the
-// audit engine calls CheckInvariantsScratch with a reused arena instead.
+// audit engine calls CheckFreeLists with a reused arena instead and
+// folds the frame sweep into its own pass.
 func (b *Buddy) CheckInvariants() error {
 	return b.CheckInvariantsScratch(make([]uint64, b.ScratchWords()))
 }
 
 // CheckInvariantsScratch is CheckInvariants over a borrowed coverage
-// bitset (one bit per managed frame, at least ScratchWords words). The
-// scratch is cleared word-at-a-time on entry, so callers can hand the
-// same arena to successive checks without zeroing it between them; its
-// contents on return are unspecified.
+// bitset (one bit per managed frame, at least ScratchWords words): the
+// free-list walk (CheckFreeLists) followed by the frame sweep
+// (CheckFrames) over the coverage it recorded.
 func (b *Buddy) CheckInvariantsScratch(covered []uint64) error {
+	if err := b.CheckFreeLists(covered); err != nil {
+		return err
+	}
+	return b.CheckFrames(covered)
+}
+
+// CheckFreeLists walks every free list and checks its structure: block
+// alignment, head marking, back links, canonical coalescing, per-order
+// counts, the non-empty bitmap, the free-page counter and, when
+// enabled, MAX_ORDER address order. It records which frames the listed
+// blocks cover into covered (one bit per managed frame, cleared on
+// entry, at least ScratchWords words) and fails if two blocks overlap.
+// It does not read frame states; CheckFrames ties the coverage to them.
+//
+// Blocks of 64 pages or more cover whole scratch words, so they are
+// recorded a word at a time; smaller blocks are a mask inside one word.
+// Either way an overlap is reported at the lowest frame of the block
+// that is already covered.
+func (b *Buddy) CheckFreeLists(covered []uint64) error {
 	covered = covered[:b.ScratchWords()]
 	clear(covered)
 	var listedFree uint64
 	for o := 0; o <= addr.MaxOrder; o++ {
 		var count uint64
 		prev := nilLink
+		n := addr.OrderPages(o)
 		for i := b.heads[o]; i != nilLink; i = b.next[i] {
 			pfn := b.pfnAt(i)
 			count++
 			if !addr.AlignedTo(pfn, o) {
 				return fmt.Errorf("order %d block %d misaligned", o, pfn)
 			}
-			if b.frames.Get(pfn).BuddyOrder != int8(o) {
+			if b.fs[i].BuddyOrder != int8(o) {
 				return fmt.Errorf("order %d block %d head marking mismatch", o, pfn)
 			}
 			if b.prev[i] != prev {
 				return fmt.Errorf("order %d block %d prev-link broken", o, pfn)
 			}
-			n := addr.OrderPages(o)
-			for j := uint64(0); j < n; j++ {
-				rel := uint64(i) + j
-				if covered[rel>>6]&(1<<(rel&63)) != 0 {
-					return fmt.Errorf("frame %d covered by two free blocks", pfn+addr.PFN(j))
+			if n >= 64 {
+				for w := uint64(i) >> 6; w < (uint64(i)+n)>>6; w++ {
+					if c := covered[w]; c != 0 {
+						return b.overlapError(w<<6 + uint64(bits.TrailingZeros64(c)))
+					}
+					covered[w] = ^uint64(0)
 				}
-				covered[rel>>6] |= 1 << (rel & 63)
-				if b.fs[rel].State != frame.Free {
-					return fmt.Errorf("frame %d on free list but state %v", pfn+addr.PFN(j), b.fs[rel].State)
+			} else {
+				w := uint64(i) >> 6
+				mask := (uint64(1)<<n - 1) << (uint64(i) & 63)
+				if c := covered[w] & mask; c != 0 {
+					return b.overlapError(w<<6 + uint64(bits.TrailingZeros64(c)))
 				}
+				covered[w] |= mask
 			}
 			// Canonical coalescing: a listed block's buddy must not
 			// also be listed at the same order.
 			if o < addr.MaxOrder {
 				bud := addr.BuddyOf(pfn, o)
-				if b.Contains(bud) && b.frames.Get(bud).BuddyOrder == int8(o) {
+				if b.Contains(bud) && b.fs[bud-b.base].BuddyOrder == int8(o) {
 					return fmt.Errorf("order %d blocks %d and %d are uncoalesced buddies", o, pfn, bud)
 				}
 			}
-			listedFree += addr.OrderPages(o)
+			listedFree += n
 			prev = i
 		}
 		if count != b.perOrderCount[o] {
@@ -604,12 +628,6 @@ func (b *Buddy) CheckInvariantsScratch(covered []uint64) error {
 	if listedFree != b.freePages {
 		return fmt.Errorf("listed free pages %d != counter %d", listedFree, b.freePages)
 	}
-	// Every Free-state frame in range must be covered by a listed block.
-	for rel := uint64(0); rel < b.npages; rel++ {
-		if b.fs[rel].State == frame.Free && covered[rel>>6]&(1<<(rel&63)) == 0 {
-			return fmt.Errorf("frame %d free but not on any list", b.base+addr.PFN(rel))
-		}
-	}
 	if b.sorted {
 		prev := nilLink
 		for i := b.heads[addr.MaxOrder]; i != nilLink; i = b.next[i] {
@@ -618,6 +636,46 @@ func (b *Buddy) CheckInvariantsScratch(covered []uint64) error {
 			}
 			prev = i
 		}
+	}
+	return nil
+}
+
+func (b *Buddy) overlapError(rel uint64) error {
+	return fmt.Errorf("frame %d covered by two free blocks", b.base+addr.PFN(rel))
+}
+
+// CheckFrames sweeps the managed frames against the coverage
+// CheckFreeLists recorded: a frame is on a free list exactly when its
+// State is Free. The sweep goes 64 frames at a time and reports the
+// lowest frame that disagrees, with ListedStateError's message.
+func (b *Buddy) CheckFrames(covered []uint64) error {
+	for w, c := range covered[:b.ScratchWords()] {
+		fs := b.fs[w<<6 : w<<6+64]
+		var free uint64
+		for j := range fs {
+			if fs[j].State == frame.Free {
+				free |= 1 << j
+			}
+		}
+		if d := free ^ c; d != 0 {
+			j := bits.TrailingZeros64(d)
+			return ListedStateError(b.base+addr.PFN(w<<6+j), c&(1<<j) != 0, fs[j].State)
+		}
+	}
+	return nil
+}
+
+// ListedStateError is the frame sweep's verdict on one frame: nil when
+// listed (the frame is covered by a listed free block) agrees with its
+// state being Free, otherwise the error naming the frame. The audit
+// engine, which folds this sweep into its own frame pass, reports
+// through it so both engines word the failure identically.
+func ListedStateError(pfn addr.PFN, listed bool, s frame.State) error {
+	switch {
+	case listed && s != frame.Free:
+		return fmt.Errorf("frame %d on free list but state %v", pfn, s)
+	case !listed && s == frame.Free:
+		return fmt.Errorf("frame %d free but not on any list", pfn)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package buddy
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -604,5 +605,77 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 				t.Fatalf("CheckInvariants = %v, want error containing %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestCheckFreeListsOverlapExactPFN lists extra blocks over frames that
+// listed blocks already cover, at the edges of the 64-frame coverage
+// words, and requires the walk to name the exact first frame covered
+// twice. The allocator sits at a nonzero base so a PFN is never its
+// index.
+func TestCheckFreeListsOverlapExactPFN(t *testing.T) {
+	const base = 3 * addr.MaxOrderPages
+	tests := []struct {
+		name   string
+		blocks []struct{ idx, order int } // listed on top of the intact lists
+		want   uint64                     // frame index of the first overlap
+	}{
+		{"order0-at-63", []struct{ idx, order int }{{63, 0}}, 63},
+		{"order0-at-64", []struct{ idx, order int }{{64, 0}}, 64},
+		{"order6-inside-max", []struct{ idx, order int }{{192, 6}}, 192},
+		{"order9-inside-max", []struct{ idx, order int }{{512, 9}}, 512},
+		// Two blocks of 64 pages or more over the same frames, listed
+		// in either order: the smaller is walked first, so the
+		// overlap starts at its head, in the larger block's middle or
+		// at its last word.
+		{"order6-then-order7", []struct{ idx, order int }{{192, 6}, {128, 7}}, 192},
+		{"order7-then-order6", []struct{ idx, order int }{{128, 7}, {192, 6}}, 192},
+		{"order6-then-order8", []struct{ idx, order int }{{320, 6}, {256, 8}}, 320},
+		{"order9-then-order7", []struct{ idx, order int }{{512, 9}, {640, 7}}, 640},
+	}
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			ft := frame.NewTable(0, base+2*addr.MaxOrderPages)
+			b := New(ft, base, 2*addr.MaxOrderPages)
+			for _, blk := range tc.blocks {
+				b.listInsert(base+addr.PFN(blk.idx), blk.order)
+			}
+			want := fmt.Sprintf("frame %d covered by two free blocks", base+tc.want)
+			if err := b.CheckInvariants(); err == nil || err.Error() != want {
+				t.Fatalf("CheckInvariants = %v, want %q", err, want)
+			}
+		})
+	}
+}
+
+// TestCheckFramesExactPFN flips single frames against the coverage in
+// both directions, at word edges, and requires the sweep to name the
+// exact frame.
+func TestCheckFramesExactPFN(t *testing.T) {
+	const base = 3 * addr.MaxOrderPages
+	for _, idx := range []uint64{0, 1, 63, 64, 2*addr.MaxOrderPages - 1} {
+		for _, listed := range []bool{true, false} {
+			t.Run(fmt.Sprintf("idx%d-listed-%v", idx, listed), func(t *testing.T) {
+				ft := frame.NewTable(0, base+2*addr.MaxOrderPages)
+				b := New(ft, base, 2*addr.MaxOrderPages)
+				pfn := base + addr.PFN(idx)
+				want := fmt.Sprintf("frame %d on free list but state allocated", pfn)
+				if !listed {
+					// Allocate the frame's whole MAX_ORDER block, then
+					// mark the one frame free behind the lists' back.
+					head := pfn &^ (addr.MaxOrderPages - 1)
+					if err := b.AllocBlockAt(head, addr.MaxOrder); err != nil {
+						t.Fatal(err)
+					}
+					b.fs[pfn-base].State = frame.Free
+					want = fmt.Sprintf("frame %d free but not on any list", pfn)
+				} else {
+					b.fs[pfn-base].State = frame.Allocated
+				}
+				if err := b.CheckInvariants(); err == nil || err.Error() != want {
+					t.Fatalf("CheckInvariants = %v, want %q", err, want)
+				}
+			})
+		}
 	}
 }

@@ -149,3 +149,50 @@ func TestMMapFileBeyondEOFSegfaults(t *testing.T) {
 		t.Fatalf("want ErrSegfault past EOF, got %v", err)
 	}
 }
+
+// TestVisitResidentSkipsDroppedFiles checks the audit's cache visitor:
+// one call per file that still holds pages, dropped files skipped, and
+// the PFN+1 entries of all calls together naming exactly the frames
+// the cache holds.
+func TestVisitResidentSkipsDroppedFiles(t *testing.T) {
+	k := newKernel(t, 16, DefaultPolicy{})
+	var files []*File
+	for i := 0; i < 3; i++ {
+		f := k.Cache.CreateFile(40 * addr.PageSize)
+		if err := k.Cache.Read(f, 0, 20*addr.PageSize); err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, f)
+	}
+	k.Cache.DropFile(files[1])
+	k.Cache.CreateFile(8 * addr.PageSize) // never read
+	want := map[addr.PFN]bool{}
+	for _, f := range []*File{files[0], files[2]} {
+		for idx := uint64(0); idx < f.Pages(); idx++ {
+			if pfn, ok := f.cachedPFN(idx); ok {
+				want[pfn] = true
+			}
+		}
+	}
+	calls := 0
+	got := map[addr.PFN]bool{}
+	k.Cache.VisitResident(func(pages []addr.PFN) {
+		calls++
+		for _, v := range pages {
+			if v != 0 {
+				got[v-1] = true
+			}
+		}
+	})
+	if calls != 2 {
+		t.Fatalf("visited %d files, want the 2 that hold pages", calls)
+	}
+	if uint64(len(got)) != k.Cache.ResidentPages || len(got) != len(want) {
+		t.Fatalf("visited %d frames, cache holds %d, files hold %d", len(got), k.Cache.ResidentPages, len(want))
+	}
+	for pfn := range want {
+		if !got[pfn] {
+			t.Fatalf("resident frame %d not visited", pfn)
+		}
+	}
+}
