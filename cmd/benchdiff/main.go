@@ -1,7 +1,7 @@
 // Command benchdiff compares two -timing JSON reports written by
 // cmd/reproduce (the format committed as BENCH_*.json trajectory
-// points): per-experiment wall-clock deltas, the total, and an optional
-// regression gate.
+// points): per-experiment wall-clock deltas, the total, the process's
+// peak RSS, and an optional regression gate on the times.
 //
 // Usage:
 //
@@ -11,9 +11,10 @@
 // With -threshold 0 (the default) the tool only reports. With a
 // positive threshold it exits non-zero when any experiment — or the
 // total — slowed down by more than that factor, so CI can choose to
-// gate on it. Reports taken under different parameters (stream length,
-// settle epochs, seed, jobs) are flagged: their deltas measure the
-// parameter change, not the code.
+// gate on it. Peak RSS is shown but never gated; reports from before it
+// was recorded show it as "-". Reports taken under different parameters
+// (stream length, settle epochs, seed, jobs) are flagged: their deltas
+// measure the parameter change, not the code.
 package main
 
 import (
@@ -35,6 +36,8 @@ type report struct {
 	Settle    int     `json:"settle_epochs"`
 	Seed      int64   `json:"seed"`
 	TotalMS   float64 `json:"total_ms"`
+	// PeakRSSMB is absent (0) in reports written before it was added.
+	PeakRSSMB float64 `json:"peak_rss_mb"`
 	PerExp    []struct {
 		ID string  `json:"id"`
 		MS float64 `json:"ms"`
@@ -135,6 +138,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		"TOTAL", fmt.Sprintf("%.1f", base.TotalMS), fmt.Sprintf("%.1f", cand.TotalMS),
 		ratioCell("TOTAL", base.TotalMS, cand.TotalMS),
 	})
+	// Peak RSS is reported, never gated: -threshold is about time.
+	rssCell := func(mb float64) string {
+		if mb <= 0 {
+			return "-"
+		}
+		return fmt.Sprintf("%.1f MB", mb)
+	}
+	rssRatio := "n/a"
+	if base.PeakRSSMB > 0 && cand.PeakRSSMB > 0 {
+		rssRatio = fmt.Sprintf("%.2fx", cand.PeakRSSMB/base.PeakRSSMB)
+	}
+	rows = append(rows, [4]string{"peak RSS (ungated)", rssCell(base.PeakRSSMB), rssCell(cand.PeakRSSMB), rssRatio})
 
 	widths := [4]int{len("experiment"), len("base ms"), len("new ms"), len("ratio")}
 	for _, r := range rows {

@@ -23,6 +23,7 @@ type testReport struct {
 	Settle    int       `json:"settle_epochs"`
 	Seed      int64     `json:"seed"`
 	TotalMS   float64   `json:"total_ms"`
+	PeakRSSMB float64   `json:"peak_rss_mb,omitempty"`
 	PerExp    []testExp `json:"experiments"`
 }
 
@@ -175,5 +176,46 @@ func TestUsageAndLoadErrors(t *testing.T) {
 	}
 	if code, _, stderr := runDiff(t, "-base", base, "-new", bad); code != 2 || !strings.Contains(stderr, "bad.json") {
 		t.Errorf("corrupt file: exit %d stderr %q, want 2 naming the file", code, stderr)
+	}
+}
+
+// TestPeakRSSRowUngated checks the peak-RSS row: shown with its ratio
+// when both reports carry it, never tripping the gate however much it
+// grew, and read from an old-format base (no peak_rss_mb field at all)
+// as absent rather than as an error.
+func TestPeakRSSRowUngated(t *testing.T) {
+	b := baseReport()
+	b.PeakRSSMB = 50
+	base := writeReport(t, "base.json", b)
+	cand := baseReport()
+	cand.PeakRSSMB = 500
+	candPath := writeReport(t, "new.json", cand)
+
+	code, out, _ := runDiff(t, "-base", base, "-new", candPath, "-threshold", "1.25")
+	if code != 0 {
+		t.Fatalf("exit %d, want 0: peak RSS must not be gated\n%s", code, out)
+	}
+	for _, want := range []string{"peak RSS (ungated)", "50.0 MB", "500.0 MB", "10.00x"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q:\n%s", want, out)
+		}
+	}
+
+	old := writeReport(t, "old.json", baseReport())
+	if buf, err := os.ReadFile(old); err != nil || strings.Contains(string(buf), "peak_rss_mb") {
+		t.Fatalf("old-format base must lack the field (err %v): %s", err, buf)
+	}
+	code, out, stderr := runDiff(t, "-base", old, "-new", candPath, "-threshold", "1.25")
+	if code != 0 {
+		t.Fatalf("old-format base: exit %d, stderr %q", code, stderr)
+	}
+	var row string
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "peak RSS") {
+			row = line
+		}
+	}
+	if f := strings.Fields(row); len(f) < 6 || f[3] != "-" || f[len(f)-1] != "n/a" {
+		t.Errorf("old-format base: peak RSS row %q, want base \"-\" and ratio n/a", row)
 	}
 }

@@ -1,7 +1,8 @@
 // Command memsimd is the trace-driven serving mode (DESIGN.md §14): a
 // long-running process that drains one or more workload trace streams
-// through the sharded replay engine, exposes live counters over an
-// HTTP status endpoint and a periodic counter CSV, and on shutdown
+// through the sharded replay engine, exposes live counters and the
+// process's live heap over an HTTP status endpoint and a periodic
+// counter CSV, and on shutdown
 // drains the streams and runs the whole-machine cross-kernel audit
 // before exiting.
 //
@@ -25,10 +26,12 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime/metrics"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -144,7 +147,7 @@ func merge(streams []*stream) func() (tracein.Event, error) {
 }
 
 // status is the -status endpoint's JSON document: the engine snapshot
-// plus serving-mode throughput.
+// plus serving-mode throughput and the process's live heap.
 type status struct {
 	tracein.Snapshot
 	Shards       int     `json:"shards"`
@@ -153,6 +156,19 @@ type status struct {
 	UptimeMS     int64   `json:"uptime_ms"`
 	EventsPerSec float64 `json:"events_per_sec"`
 	FaultsPerSec float64 `json:"faults_per_sec"`
+	HeapLiveMB   float64 `json:"heap_live_mb"`
+}
+
+// heapLiveMB is the heap the last garbage collection found live, in MB
+// (0 before the first collection). It measures this process, not the
+// simulation, so it stays out of every digest.
+func heapLiveMB() float64 {
+	s := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	metrics.Read(s)
+	if s[0].Value.Kind() != metrics.KindUint64 {
+		return 0
+	}
+	return float64(s[0].Value.Uint64()) / (1 << 20)
 }
 
 // server owns the live view the HTTP handler and CSV ticker read while
@@ -179,6 +195,7 @@ func (sv *server) status() status {
 		UptimeMS:     up.Milliseconds(),
 		EventsPerSec: float64(snap.Events) / secs,
 		FaultsPerSec: float64(snap.Faults) / secs,
+		HeapLiveMB:   heapLiveMB(),
 	}
 }
 
@@ -227,7 +244,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	var tr *trace.Tracer
 	if *csvPath != "" {
-		tr = trace.New()
+		// The CSV needs only counters and gauges, which stay exact with
+		// no event buffer; a buffered tracer would keep every fault and
+		// buddy event of the run, about 2.7 KB per replayed event.
+		tr = trace.NewCapped(0)
 	}
 	eng, err := tracein.NewEngine(tracein.ReplayConfig{
 		Shards: *shards, Jobs: *jobs, Policy: *policy, Daemons: *daemons,
@@ -278,7 +298,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	csvStop := make(chan struct{})
 	csvDone := make(chan struct{})
+	var sampleGauges func()
 	if tr != nil {
+		// The CSV carries the live heap in whole MB, rounded up.
+		heapGauge := tr.Gauge("heap_live_mb")
+		sampleGauges = func() {
+			tr.SetGauge(heapGauge, uint64(math.Ceil(heapLiveMB())))
+			eng.SampleGauges()
+		}
 		go func() {
 			defer close(csvDone)
 			t := time.NewTicker(*interval)
@@ -286,7 +313,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			for {
 				select {
 				case <-t.C:
-					eng.SampleGauges()
+					sampleGauges()
 				case <-csvStop:
 					return
 				}
@@ -313,7 +340,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if tr != nil {
 		close(csvStop)
 		<-csvDone
-		eng.SampleGauges() // final row: every drain leaves a series
+		sampleGauges() // final row: every drain leaves a series
 		f, err := os.Create(*csvPath)
 		if err == nil {
 			err = tr.WriteCounterCSV(f)

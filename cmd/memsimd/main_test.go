@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -84,9 +86,56 @@ func TestTraceFileInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	head := strings.SplitN(string(buf), "\n", 2)[0]
-	for _, col := range []string{"replay.events", "replay.faults"} {
+	for _, col := range []string{"replay.events", "replay.faults", "heap_live_mb"} {
 		if !strings.Contains(head, col) {
 			t.Fatalf("counter CSV header missing %q: %s", col, head)
+		}
+	}
+}
+
+// TestHeapLiveGauge checks the live-heap figure on both surfaces: the
+// /status JSON field and the counter CSV column are present and
+// positive once a collection has measured the heap.
+func TestHeapLiveGauge(t *testing.T) {
+	runtime.GC()
+	if mb := heapLiveMB(); mb <= 0 {
+		t.Fatalf("heap_live_mb = %v after a collection, want > 0", mb)
+	}
+
+	eng, err := tracein.NewEngine(tracein.ReplayConfig{Shards: 2, Jobs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	sv := &server{eng: eng, streams: 1, start: time.Now()}
+	rec := httptest.NewRecorder()
+	sv.handleStatus(rec, httptest.NewRequest("GET", "/status", nil))
+	var got map[string]any
+	if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+		t.Fatal(err)
+	}
+	if mb, ok := got["heap_live_mb"].(float64); !ok || mb <= 0 {
+		t.Fatalf("status heap_live_mb = %v, want a positive number", got["heap_live_mb"])
+	}
+
+	csv := filepath.Join(t.TempDir(), "counters.csv")
+	var out, errb bytes.Buffer
+	args := []string{"-synth", "2000", "-shards", "2", "-oneshot", "-csv", csv}
+	if code := run(args, &out, &errb); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errb.String())
+	}
+	buf, err := os.ReadFile(csv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := strings.Split(strings.TrimSpace(string(buf)), "\n")
+	col := slices.Index(strings.Split(rows[0], ","), "heap_live_mb")
+	if col < 0 {
+		t.Fatalf("counter CSV has no heap_live_mb column: %s", rows[0])
+	}
+	for _, row := range rows[1:] {
+		if v := strings.Split(row, ",")[col]; v == "0" || v == "" {
+			t.Fatalf("heap_live_mb = %q in row %q, want positive", v, row)
 		}
 	}
 }

@@ -18,8 +18,9 @@
 //
 // The profiling flags feed the performance work tracked in DESIGN.md
 // §7: -cpuprofile/-memprofile write standard pprof profiles around the
-// sweep, and -timing writes the per-experiment wall-clock breakdown as
-// JSON (the format committed as BENCH_*.json trajectory points).
+// sweep, and -timing writes the per-experiment wall-clock breakdown and
+// the process's peak RSS as JSON (the format committed as BENCH_*.json
+// trajectory points).
 //
 // The tracing flags (DESIGN.md §9) attach a process-wide tracer to
 // every experiment in the run: -trace writes Chrome trace-event JSON
@@ -50,6 +51,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
+	"syscall"
 	"time"
 
 	"repro/internal/experiments"
@@ -68,7 +70,18 @@ type timingReport struct {
 	Settle    int            `json:"settle_epochs"`
 	Seed      int64          `json:"seed"`
 	TotalMS   float64        `json:"total_ms"`
+	PeakRSSMB float64        `json:"peak_rss_mb"`
 	PerExp    []timingResult `json:"experiments"`
+}
+
+// peakRSSMB is the process's resident-set high-water mark from
+// getrusage, which Linux reports in KiB; 0 if the call fails.
+func peakRSSMB() float64 {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
+	}
+	return float64(ru.Maxrss) / 1024
 }
 
 type timingResult struct {
@@ -194,6 +207,7 @@ func main() {
 			Settle:    *settle,
 			Seed:      *seed,
 			TotalMS:   float64(total.Microseconds()) / 1e3,
+			PeakRSSMB: peakRSSMB(),
 		}
 		for _, r := range results {
 			rep.PerExp = append(rep.PerExp, timingResult{

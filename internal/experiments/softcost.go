@@ -85,8 +85,8 @@ func Table5(p Params) (*Table, error) { return Table5For(p, workloadNames()) }
 
 // Table5For is the parameterized core of Table5. Every (policy,
 // workload) cell runs on its own kernel, so the whole grid fans out on
-// a worker pool; per-policy aggregation (fault sums and the latency
-// percentile) is order-insensitive, so the table is identical to a
+// a worker pool; per-policy aggregation (fault sums and merged latency
+// histograms) is order-insensitive, so the table is identical to a
 // sequential run.
 func Table5For(p Params, names []string) (*Table, error) {
 	t := &Table{
@@ -100,7 +100,7 @@ func Table5For(p Params, names []string) (*Table, error) {
 	policies := []PolicyName{PolicyTHP, PolicyCA, PolicyEager}
 	type cellResult struct {
 		faults uint64
-		lats   []uint64
+		lats   metrics.Histogram
 	}
 	g := newGrid(len(policies), len(names))
 	cells := make([]cellResult, g.size())
@@ -114,8 +114,8 @@ func Table5For(p Params, names []string) (*Table, error) {
 		if err := workloads.ByName(name).Setup(env, rand.New(rand.NewSource(p.setupSeed()))); err != nil {
 			return fmt.Errorf("table5 %s/%s: %w", name, pol, err)
 		}
-		// Stats (and the latency slice) live on the kernel, not the
-		// machine; recycling only pools the machine, so the reference in
+		// Stats (and the latency histogram) live on the kernel, not
+		// the machine; recycling only pools the machine, so the copy in
 		// cells stays valid.
 		cells[i] = cellResult{faults: k.Stats.TotalFaults(), lats: k.Stats.FaultLatencies}
 		env.Exit()
@@ -127,13 +127,13 @@ func Table5For(p Params, names []string) (*Table, error) {
 	}
 	for pi, pol := range policies {
 		var faults uint64
-		var lats []uint64
+		var lats metrics.Histogram
 		for ni := range names {
-			c := cells[g.index(pi, ni)]
+			c := &cells[g.index(pi, ni)]
 			faults += c.faults
-			lats = append(lats, c.lats...)
+			lats.Merge(&c.lats)
 		}
-		p99us := float64(metrics.Percentile(lats, 0.99)) / 1000
+		p99us := float64(lats.Percentile(0.99)) / 1000
 		t.Rows = append(t.Rows, []string{string(pol), fmt.Sprint(faults), f1(p99us)})
 	}
 	return t, nil

@@ -132,4 +132,7 @@ func (b *dsBackend) SetTracer(t *trace.Tracer) {
 	b.tlb.SetTracer(t)
 }
 
-func (b *dsBackend) Close() { b.watch.close() }
+func (b *dsBackend) Close() {
+	b.watch.close()
+	b.release()
+}

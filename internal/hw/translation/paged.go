@@ -32,6 +32,15 @@ func newCore(env *workloads.Env, noWalkCache bool) core {
 	return c
 }
 
+// release returns the walk cache's pooled array. The paged, rmm and ds
+// backends call it from Close; a second call does nothing.
+func (c *core) release() {
+	if c.wc != nil {
+		c.wc.release()
+		c.wc = nil
+	}
+}
+
 // translate performs the baseline walk for va through the walk cache:
 // a hot miss is one array probe; only cold or invalidated VPNs pay the
 // full trie descent of resolve.
@@ -217,7 +226,7 @@ func (b *pagedBackend) SetTracer(t *trace.Tracer) {
 	b.tlb.SetTracer(t)
 }
 
-func (b *pagedBackend) Close() {}
+func (b *pagedBackend) Close() { b.release() }
 
 // Shadow exposes the shadow table (sim reads SyncExits; nil without
 // ShadowPaging).

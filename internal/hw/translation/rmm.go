@@ -107,4 +107,7 @@ func (b *rmmBackend) SetTracer(t *trace.Tracer) {
 	b.tlb.SetTracer(t)
 }
 
-func (b *rmmBackend) Close() { b.watch.close() }
+func (b *rmmBackend) Close() {
+	b.watch.close()
+	b.release()
+}

@@ -1,6 +1,7 @@
 package translation
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/mem/addr"
@@ -175,7 +176,7 @@ func TestWalkCacheCorruptionDetected(t *testing.T) {
 	}
 
 	vpn := uint64(va) >> addr.PageShift
-	e := &p.wc.entries[vpn&p.wc.mask]
+	e := &p.wc.entries[vpn%walkCacheEntries]
 	if !e.valid || e.vpn != vpn {
 		t.Fatal("memo entry for the translated VPN missing")
 	}
@@ -199,4 +200,92 @@ func TestWalkCacheCorruptionDetected(t *testing.T) {
 	if !got.OK || got.HPA != want.HPA {
 		t.Fatalf("generation bump did not kill the corrupt entry: got %s ok=%v, want %s", got.HPA, got.OK, want.HPA)
 	}
+}
+
+// TestPooledWalkCacheNeverServesPreviousOwner pins the pool's safety
+// contract: a backend that borrows an array a previous owner filled
+// must not hit on any of its entries. The poisoned array is the worst
+// case — every entry valid, keyed by exactly the VPNs probed, and
+// filled at generation 0, which is where a fresh, empty table sits —
+// so only the clear on acquire stands between it and a hit.
+func TestPooledWalkCacheNeverServesPreviousOwner(t *testing.T) {
+	env := nativeEnv(t)
+	if g := env.Proc.PT.Generation(); g != 0 {
+		t.Fatalf("fresh table at generation %d, want 0", g)
+	}
+	base := uint64(1<<30) >> addr.PageShift
+	poison := new(walkEntries)
+	for i := uint64(0); i < walkCacheEntries; i++ {
+		vpn := base + i
+		poison[vpn%walkCacheEntries] = walkEntry{
+			vpn: vpn, hpa: addr.PhysAddr(i << addr.PageShift), cost: 1, valid: true,
+		}
+	}
+	// sync.Pool gives no ordering guarantee (and the race detector drops
+	// Puts at random), so retry on an emptied pool until the backend
+	// draws the poisoned array. Two GCs empty the pool, so the poison
+	// is never in it twice.
+	var p *pagedBackend
+	for try := 0; p == nil; try++ {
+		if try == 100 {
+			t.Fatal("the pool never handed out the poisoned array")
+		}
+		runtime.GC()
+		runtime.GC()
+		walkEntriesPool.Put(poison)
+		be, err := New(BackendPaged, env, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pb := be.(*pagedBackend); pb.wc.entries == poison {
+			p = pb
+		} else {
+			be.Close()
+		}
+	}
+	defer p.Close()
+	for i := uint64(0); i < walkCacheEntries; i += 97 {
+		va := addr.VirtAddr((base + i) << addr.PageShift)
+		if w := p.Translate(va); w.OK {
+			t.Fatalf("unmapped %s translated to %s: served a previous owner's entry", va, w.HPA)
+		}
+	}
+	if p.wc.Hits != 0 {
+		t.Fatalf("walk cache hit %d times on an empty table", p.wc.Hits)
+	}
+}
+
+// TestCloseReturnsWalkCache pins the release path: Close hands the
+// array back once, and the core falls back to no cache, so a repeated
+// Close cannot put the same array in the pool twice.
+func TestCloseReturnsWalkCache(t *testing.T) {
+	for _, name := range []string{BackendPaged, BackendRMM, BackendDS} {
+		be, err := New(name, nativeEnv(t), Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := coreOf(t, be)
+		if c.wc == nil {
+			t.Fatalf("%s: no walk cache before Close", name)
+		}
+		be.Close()
+		if c.wc != nil {
+			t.Fatalf("%s: Close kept the walk cache", name)
+		}
+		be.Close()
+	}
+}
+
+func coreOf(t *testing.T, be Backend) *core {
+	t.Helper()
+	switch b := be.(type) {
+	case *pagedBackend:
+		return &b.core
+	case *rmmBackend:
+		return &b.core
+	case *dsBackend:
+		return &b.core
+	}
+	t.Fatalf("backend %s has no walk-cache core", be.Name())
+	return nil
 }

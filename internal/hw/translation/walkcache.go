@@ -1,6 +1,8 @@
 package translation
 
 import (
+	"sync"
+
 	"repro/internal/mem/addr"
 	"repro/internal/osim/pagetable"
 )
@@ -8,8 +10,16 @@ import (
 // walkCacheEntries sizes the direct-mapped walk memo. Power of two so
 // the VPN index is a mask; 64K entries cover the largest scaled
 // workload footprint (BT: ~120K base pages) with acceptable conflict
-// rates at ~3.5 MB per running simulation.
+// rates. The 3 MiB array is pooled: a backend borrows one for its
+// lifetime and Close returns it, so back-to-back simulations reuse the
+// same few arrays instead of allocating one each.
 const walkCacheEntries = 1 << 16
+
+// walkEntries is one walk cache's backing array.
+type walkEntries [walkCacheEntries]walkEntry
+
+// walkEntriesPool holds the arrays of closed backends.
+var walkEntriesPool = sync.Pool{New: func() any { return new(walkEntries) }}
 
 // walkEntry is one memoized leaf translation, keyed by 4K VPN. It
 // stores the composed result of the baseline walk — the hPA of the 4K
@@ -34,8 +44,7 @@ type walkEntry struct {
 // map/unmap/SetContig/migration during a run can never serve a stale
 // translation.
 type walkCache struct {
-	entries []walkEntry
-	mask    uint64
+	entries *walkEntries
 	guest   *pagetable.Table // the walked table (guest PT, or native PT)
 	host    *pagetable.Table // nested second dimension; nil when native
 
@@ -43,20 +52,28 @@ type walkCache struct {
 	Hits, Fills uint64
 }
 
-// newWalkCache builds a cache over the environment's table(s).
+// newWalkCache builds a cache over the environment's table(s) on a
+// pooled array.
 func newWalkCache(guest, host *pagetable.Table) *walkCache {
-	return &walkCache{
-		entries: make([]walkEntry, walkCacheEntries),
-		mask:    walkCacheEntries - 1,
-		guest:   guest,
-		host:    host,
-	}
+	entries := walkEntriesPool.Get().(*walkEntries)
+	// A pooled array still holds its previous owner's entries, filled
+	// under another table's generations; a fresh table can sit at the
+	// same generation, so only this clear keeps them from hitting.
+	clear(entries[:])
+	return &walkCache{entries: entries, guest: guest, host: host}
+}
+
+// release returns the array to the pool. The cache must not be used
+// afterwards.
+func (c *walkCache) release() {
+	walkEntriesPool.Put(c.entries)
+	c.entries = nil
 }
 
 // probe returns the memoized entry for vpn if it is still valid under
 // the current table generations.
 func (c *walkCache) probe(vpn uint64) (walkEntry, bool) {
-	e := &c.entries[vpn&c.mask]
+	e := &c.entries[vpn%walkCacheEntries]
 	if !e.valid || e.vpn != vpn || e.genG != c.guest.Generation() {
 		return walkEntry{}, false
 	}
@@ -75,7 +92,7 @@ func (c *walkCache) fill(vpn uint64, hpaPage addr.PhysAddr, leafHuge bool, cost 
 	if c.host != nil {
 		genH = c.host.Generation()
 	}
-	c.entries[vpn&c.mask] = walkEntry{
+	c.entries[vpn%walkCacheEntries] = walkEntry{
 		vpn:      vpn,
 		genG:     c.guest.Generation(),
 		genH:     genH,

@@ -2,7 +2,8 @@
 // evaluation reports: memory-footprint coverage by the N largest
 // contiguous mappings (Figs. 1, 7, 8, 10, 12), the number of mappings
 // needed to cover 99 % of the footprint, free-block distributions
-// (Fig. 9), percentile latencies (Table V), and bloat (Table VI).
+// (Fig. 9), percentile latencies (Table V, over exact histograms), and
+// bloat (Table VI).
 //
 // A "mapping" here is the paper's Fig. 1a object: a maximal extent of
 // virtual pages mapped to consecutive physical pages — independent of
@@ -111,14 +112,98 @@ func Percentile(xs []uint64, p float64) uint64 {
 	}
 	sorted := append([]uint64(nil), xs...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	rank := int(p*float64(len(sorted))+0.5) - 1
+	return sorted[nearestRank(uint64(len(sorted)), p)]
+}
+
+// nearestRank is the 0-based index of the p-quantile in n > 0 sorted
+// samples, clamped to [0, n-1]. Percentile and Histogram.Percentile
+// both use it, so a histogram always reports what the expanded sample
+// list would.
+func nearestRank(n uint64, p float64) uint64 {
+	rank := int64(p*float64(n)+0.5) - 1
 	if rank < 0 {
-		rank = 0
+		return 0
 	}
-	if rank >= len(sorted) {
-		rank = len(sorted) - 1
+	if uint64(rank) >= n {
+		return n - 1
 	}
-	return sorted[rank]
+	return uint64(rank)
+}
+
+// Bucket is one distinct value of a Histogram and how often it was
+// added.
+type Bucket struct {
+	Value, Count uint64
+}
+
+// Histogram is an exact histogram of uint64 samples: one bucket per
+// distinct value, kept sorted by value. It answers the same quantiles
+// as the sample list it replaces, in memory that grows with the number
+// of distinct values instead of the number of samples. Adding a value
+// seen before never allocates. The zero value is empty and ready to
+// use.
+type Histogram struct {
+	buckets []Bucket
+}
+
+// Add records one sample.
+func (h *Histogram) Add(v uint64) { h.addN(v, 1) }
+
+// addN records n samples of value v.
+func (h *Histogram) addN(v, n uint64) {
+	lo, hi := 0, len(h.buckets)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if h.buckets[mid].Value < v {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(h.buckets) && h.buckets[lo].Value == v {
+		h.buckets[lo].Count += n
+		return
+	}
+	h.buckets = append(h.buckets, Bucket{})
+	copy(h.buckets[lo+1:], h.buckets[lo:])
+	h.buckets[lo] = Bucket{Value: v, Count: n}
+}
+
+// Merge adds every sample of o.
+func (h *Histogram) Merge(o *Histogram) {
+	for _, b := range o.buckets {
+		h.addN(b.Value, b.Count)
+	}
+}
+
+// Count returns the number of samples.
+func (h *Histogram) Count() uint64 {
+	var n uint64
+	for _, b := range h.buckets {
+		n += b.Count
+	}
+	return n
+}
+
+// Buckets returns the distinct values in ascending order with their
+// counts. The slice is the histogram's own; callers must not modify it.
+func (h *Histogram) Buckets() []Bucket { return h.buckets }
+
+// Percentile returns the p-quantile (0..1) by the nearest-rank rule of
+// the package-level Percentile. Returns 0 for an empty histogram.
+func (h *Histogram) Percentile(p float64) uint64 {
+	n := h.Count()
+	if n == 0 {
+		return 0
+	}
+	rank := nearestRank(n, p)
+	for _, b := range h.buckets {
+		if rank < b.Count {
+			return b.Value
+		}
+		rank -= b.Count
+	}
+	return h.buckets[len(h.buckets)-1].Value // unreachable: rank < n
 }
 
 // Mean returns the arithmetic mean of xs (0 for empty). It accumulates

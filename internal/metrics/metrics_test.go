@@ -2,6 +2,8 @@ package metrics
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -122,6 +124,77 @@ func TestPercentile(t *testing.T) {
 	}
 	if got := Percentile([]uint64{42}, 0.99); got != 42 {
 		t.Fatalf("single = %d", got)
+	}
+}
+
+// TestHistogramPercentileMatchesSampleList pins the histogram to the
+// sample-list quantile it replaces: for random multisets (few distinct
+// values, like fault latencies, and many) and the Table V quantiles,
+// Histogram.Percentile equals Percentile over the expanded samples,
+// whether the histogram was built by Add or by merging two halves.
+func TestHistogramPercentileMatchesSampleList(t *testing.T) {
+	var empty Histogram
+	for _, p := range []float64{0, 0.5, 0.99, 1} {
+		if got := empty.Percentile(p); got != Percentile(nil, p) || got != 0 {
+			t.Fatalf("empty p%v = %d, want 0", p, got)
+		}
+	}
+	if empty.Count() != 0 || len(empty.Buckets()) != 0 {
+		t.Fatal("zero histogram is not empty")
+	}
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(300)
+		distinct := uint64(1 + rng.Intn(8))
+		if trial%4 == 0 {
+			distinct = 1 << 40
+		}
+		xs := make([]uint64, n)
+		var h, lo, hi Histogram
+		for i := range xs {
+			xs[i] = 1000 + 515*uint64(rng.Int63n(int64(distinct)))
+			h.Add(xs[i])
+			if i < n/2 {
+				lo.Add(xs[i])
+			} else {
+				hi.Add(xs[i])
+			}
+		}
+		lo.Merge(&hi)
+		if h.Count() != uint64(n) || !reflect.DeepEqual(h.Buckets(), lo.Buckets()) {
+			t.Fatalf("trial %d: merged halves %v differ from whole %v", trial, lo.Buckets(), h.Buckets())
+		}
+		bs := h.Buckets()
+		for i := 1; i < len(bs); i++ {
+			if bs[i-1].Value >= bs[i].Value {
+				t.Fatalf("trial %d: buckets not strictly ascending: %v", trial, bs)
+			}
+		}
+		for _, p := range []float64{0, 0.5, 0.99, 1} {
+			if got, want := h.Percentile(p), Percentile(xs, p); got != want {
+				t.Fatalf("trial %d (n=%d): p%v = %d, sample list says %d", trial, n, p, got, want)
+			}
+		}
+	}
+}
+
+// TestHistogramAddSeenValueZeroAllocs pins the memory contract: once a
+// value has a bucket, adding it again never touches the heap.
+func TestHistogramAddSeenValueZeroAllocs(t *testing.T) {
+	var h Histogram
+	for _, v := range []uint64{515000, 4000, 4500} {
+		h.Add(v)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		h.Add(4000)
+		h.Add(515000)
+		h.addN(4500, 3)
+	})
+	if allocs != 0 {
+		t.Fatalf("Add of seen values allocates %.1f times per run", allocs)
+	}
+	if len(h.Buckets()) != 3 {
+		t.Fatalf("buckets = %v, want 3 distinct values", h.Buckets())
 	}
 }
 

@@ -2,6 +2,7 @@ package osim
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -76,6 +77,62 @@ func TestCAContigMarkingAllocatesNothing(t *testing.T) {
 	}
 	if p.PT.ContigBits != 0 {
 		t.Fatalf("ContigBits = %d below the threshold", p.PT.ContigBits)
+	}
+}
+
+// TestWarmProcessLifetimeAllocs pins the memory cost of a process
+// lifetime once the kernel is warm (BenchmarkProcessChurn's shape:
+// mmap, fault in 1024 pages, munmap, exit). Page-table nodes are
+// recycled and fault latencies land in a histogram of a few buckets, so
+// a cycle allocates little more than the process and its VMA; a
+// per-fault latency log alone would add 8 KiB. Every cycle must also
+// charge the same faults, latencies and clock time and free every frame.
+func TestWarmProcessLifetimeAllocs(t *testing.T) {
+	k := newKernel(t, 64, CAPolicy{})
+	k.THPEnabled = false
+	cycle := func() {
+		p := k.NewProcess(0)
+		v, err := p.MMap(1024 * addr.PageSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		touchRange(t, p, v.Start, v.Size(), addr.PageSize)
+		p.MUnmap(v)
+		p.Exit()
+	}
+	for i := 0; i < 5; i++ {
+		cycle()
+	}
+	clock0 := k.Clock
+	cycle()
+	perCycle := k.Clock - clock0
+	faults0, lats0 := k.Stats.TotalFaults(), len(k.Stats.FaultLatencies.Buckets())
+
+	const cycles = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < cycles; i++ {
+		cycle()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / cycles; per >= 2<<10 {
+		t.Fatalf("a warm process lifetime allocates %d bytes, want under 2 KiB", per)
+	}
+
+	if got := k.Clock - clock0 - perCycle; got != cycles*perCycle {
+		t.Fatalf("%d cycles advanced the clock by %d, want %d", cycles, got, cycles*perCycle)
+	}
+	if got := k.Stats.TotalFaults() - faults0; got != cycles*1024 {
+		t.Fatalf("%d cycles took %d faults, want %d", cycles, got, cycles*1024)
+	}
+	if got := k.Stats.FaultLatencies.Count(); got != k.Stats.TotalFaults() {
+		t.Fatalf("latency histogram holds %d faults, kernel took %d", got, k.Stats.TotalFaults())
+	}
+	if got := len(k.Stats.FaultLatencies.Buckets()); got != lats0 {
+		t.Fatalf("warm cycles added latency buckets: %d, was %d", got, lats0)
+	}
+	if k.Machine.FreePages() != k.Machine.TotalPages() {
+		t.Fatalf("leak: free %d of %d", k.Machine.FreePages(), k.Machine.TotalPages())
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/mem/addr"
 	"repro/internal/mem/zone"
+	"repro/internal/metrics"
 	"repro/internal/osim/pagetable"
 	"repro/internal/osim/vma"
 	"repro/internal/trace"
@@ -84,14 +85,18 @@ func (k FaultKind) String() string {
 
 // Stats aggregates kernel events.
 type Stats struct {
-	Faults         [numFaultKinds]uint64
-	FaultLatencies []uint64 // ns per fault event, in occurrence order
-	CAFallbacks    uint64   // CA paging target misses that fell back
-	CAReplacements uint64   // CA paging re-placement decisions
-	CATargetHits   uint64   // CA paging successful targeted allocations
-	Migrations     uint64   // pages migrated (Ranger)
-	Shootdowns     uint64   // TLB shootdowns issued (Ranger)
-	Promotions     uint64   // huge-page promotions (Ingens)
+	Faults [numFaultKinds]uint64
+	// FaultLatencies counts fault events by latency (ns). Latencies
+	// take a handful of distinct values, so the histogram stays a few
+	// buckets however long the kernel runs; the per-fault order lives
+	// in the tracer's fault events.
+	FaultLatencies metrics.Histogram
+	CAFallbacks    uint64 // CA paging target misses that fell back
+	CAReplacements uint64 // CA paging re-placement decisions
+	CATargetHits   uint64 // CA paging successful targeted allocations
+	Migrations     uint64 // pages migrated (Ranger)
+	Shootdowns     uint64 // TLB shootdowns issued (Ranger)
+	Promotions     uint64 // huge-page promotions (Ingens)
 }
 
 // TotalFaults sums all fault kinds.
@@ -349,15 +354,7 @@ var faultEvent = [numFaultKinds]trace.Kind{
 func (k *Kernel) recordFault(kind FaultKind, va addr.VirtAddr, latNs uint64) {
 	k.mutSeq++
 	k.Stats.Faults[kind]++
-	// Grow the latency log by doubling: the runtime's ~1.25x growth for
-	// large slices re-copies a million-fault log often enough to show up
-	// in whole-sweep profiles.
-	if lats := k.Stats.FaultLatencies; len(lats) == cap(lats) {
-		grown := make([]uint64, len(lats), max(4096, 2*cap(lats)))
-		copy(grown, lats)
-		k.Stats.FaultLatencies = grown
-	}
-	k.Stats.FaultLatencies = append(k.Stats.FaultLatencies, latNs)
+	k.Stats.FaultLatencies.Add(latNs)
 	k.Tick(latNs)
 	if k.Tracer != nil {
 		k.Tracer.Emit(faultEvent[kind], uint64(va), latNs, k.Clock)

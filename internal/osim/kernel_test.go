@@ -1,10 +1,12 @@
 package osim
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/mem/addr"
 	"repro/internal/mem/zone"
+	"repro/internal/metrics"
 	"repro/internal/osim/pagetable"
 	"repro/internal/osim/vma"
 )
@@ -216,15 +218,18 @@ func TestFaultLatencyModel(t *testing.T) {
 	k := newKernel(t, 16, DefaultPolicy{})
 	p := k.NewProcess(0)
 	v, _ := p.MMap(addr.HugeSize + addr.PageSize)
-	touchRange(t, p, v.Start, v.Size(), addr.PageSize)
-	// One huge fault and one 4K fault recorded with distinct latencies.
-	if len(k.Stats.FaultLatencies) != 2 {
-		t.Fatalf("latencies = %v", k.Stats.FaultLatencies)
-	}
 	wantHuge := uint64(FaultBaseNs + 512*ZeroPageNs)
 	want4K := uint64(FaultBaseNs + ZeroPageNs)
-	if k.Stats.FaultLatencies[0] != wantHuge || k.Stats.FaultLatencies[1] != want4K {
-		t.Fatalf("latencies = %v, want [%d %d]", k.Stats.FaultLatencies, wantHuge, want4K)
+	// One huge fault, then one 4K fault, recorded with distinct
+	// latencies: checking the histogram after each touch pins both the
+	// latencies and their order.
+	touchRange(t, p, v.Start, addr.HugeSize, addr.PageSize)
+	if got, want := k.Stats.FaultLatencies.Buckets(), []metrics.Bucket{{Value: wantHuge, Count: 1}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("latencies after the huge fault = %v, want %v", got, want)
+	}
+	touchRange(t, p, v.Start.Add(addr.HugeSize), addr.PageSize, addr.PageSize)
+	if got, want := k.Stats.FaultLatencies.Buckets(), []metrics.Bucket{{Value: want4K, Count: 1}, {Value: wantHuge, Count: 1}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("latencies after the 4K fault = %v, want %v", got, want)
 	}
 	if k.Clock != wantHuge+want4K {
 		t.Fatalf("clock = %d", k.Clock)

@@ -25,7 +25,9 @@ type File struct {
 	// pages holds the cached frame of each file page, indexed by file
 	// page number and encoded as PFN+1 (0 = not resident): a dense
 	// array beats a map in the readahead fill loop, and the +1
-	// encoding makes a fresh zeroed slice mean "nothing cached".
+	// encoding makes a fresh zeroed slice mean "nothing cached". It is
+	// nil while the file holds nothing: the first fill takes an array
+	// from the cache's spares and DropFile gives it back.
 	pages  []addr.PFN
 	cached uint64
 
@@ -40,7 +42,8 @@ func (f *File) Pages() uint64 { return addr.BytesToPages(f.Bytes) }
 // CachedPages returns how many of the file's pages are resident.
 func (f *File) CachedPages() uint64 { return f.cached }
 
-// cachedPFN returns the frame caching file page idx, if resident.
+// cachedPFN returns the frame caching file page idx, if resident. f
+// must hold a residency array.
 func (f *File) cachedPFN(idx uint64) (addr.PFN, bool) {
 	v := f.pages[idx]
 	if v == 0 {
@@ -64,6 +67,10 @@ type PageCache struct {
 	kernel *Kernel
 	files  map[int]*File
 	nextID int
+	// spares holds the all-zero residency arrays of dropped files, at
+	// full capacity, for the next files to fill: cache churn then
+	// reuses a few arrays instead of keeping one per file ever made.
+	spares [][]addr.PFN
 	// ResidentPages counts cached frames across all files.
 	ResidentPages uint64
 }
@@ -75,9 +82,26 @@ func newPageCache(k *Kernel) *PageCache {
 // CreateFile registers a file of the given size.
 func (c *PageCache) CreateFile(bytes uint64) *File {
 	c.nextID++
-	f := &File{ID: c.nextID, Bytes: bytes, pages: make([]addr.PFN, addr.BytesToPages(bytes))}
+	f := &File{ID: c.nextID, Bytes: bytes}
 	c.files[f.ID] = f
 	return f
+}
+
+// takeSpare gives f an all-zero residency array, reusing the most
+// recently dropped spare that is large enough.
+func (c *PageCache) takeSpare(f *File) {
+	n := f.Pages()
+	for i := len(c.spares) - 1; i >= 0; i-- {
+		if sp := c.spares[i]; uint64(len(sp)) >= n {
+			last := len(c.spares) - 1
+			c.spares[i] = c.spares[last]
+			c.spares[last] = nil
+			c.spares = c.spares[:last]
+			f.pages = sp[:n]
+			return
+		}
+	}
+	f.pages = make([]addr.PFN, n)
 }
 
 // File returns the file with the given ID, or nil.
@@ -102,7 +126,9 @@ func (c *PageCache) VisitResident(fn func(pages []addr.PFN)) {
 // under read() syscalls, so only mapping faults (fileFault) count
 // toward the Table V fault statistics.
 func (c *PageCache) lookupOrFill(f *File, pageIdx uint64) (addr.PFN, error) {
-	if pfn, ok := f.cachedPFN(pageIdx); ok {
+	if f.pages == nil {
+		c.takeSpare(f)
+	} else if pfn, ok := f.cachedPFN(pageIdx); ok {
 		return pfn, nil
 	}
 	k := c.kernel
@@ -143,10 +169,15 @@ func (c *PageCache) Read(f *File, off, n uint64) error {
 }
 
 // DropFile evicts a file's pages from the cache, freeing frames whose
-// only reference was the cache. Pages are freed in file order: the
-// free sequence feeds the buddy free lists, so any other order would
-// make every later allocation run-to-run nondeterministic.
+// only reference was the cache, and hands the emptied residency array
+// to the spares. Pages are freed in file order: the free sequence feeds
+// the buddy free lists, so any other order would make every later
+// allocation run-to-run nondeterministic.
 func (c *PageCache) DropFile(f *File) {
+	f.placedOffset = false
+	if f.pages == nil {
+		return
+	}
 	k := c.kernel
 	for idx := uint64(0); idx < f.Pages(); idx++ {
 		pfn, ok := f.cachedPFN(idx)
@@ -161,7 +192,8 @@ func (c *PageCache) DropFile(f *File) {
 		f.dropCached(idx)
 		c.ResidentPages--
 	}
-	f.placedOffset = false
+	c.spares = append(c.spares, f.pages[:cap(f.pages)])
+	f.pages = nil
 }
 
 // DropAll evicts the whole cache (echo 3 > drop_caches) in file-ID

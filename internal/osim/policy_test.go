@@ -144,7 +144,11 @@ func TestEagerPreallocatesWholeVMA(t *testing.T) {
 		t.Fatalf("eager runs = %v", runs)
 	}
 	// Eager latency is one giant event.
-	if k.Stats.FaultLatencies[0] < v.Pages()*ZeroPageNs {
+	lats := k.Stats.FaultLatencies.Buckets()
+	if len(lats) != 1 || lats[0].Count != 1 {
+		t.Fatalf("eager latencies = %v, want one event", lats)
+	}
+	if lats[0].Value < v.Pages()*ZeroPageNs {
 		t.Fatal("eager latency should include zeroing the whole VMA")
 	}
 }

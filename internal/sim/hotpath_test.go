@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/hw/translation"
@@ -141,6 +144,47 @@ func TestRunZeroAllocs(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestRepeatRunReusesWalkCache pins the walk cache's pooled lifetime:
+// Run returns the 3 MiB array when it finishes, so a repeat Run on the
+// same environment allocates almost nothing and reports the same
+// result. sync.Pool promises no reuse — a collection empties it, each
+// P keeps its own slot, and the race detector drops Puts at random —
+// so GC is held off while measuring and the least allocating of a few
+// repeats must stay under the limit. Without the pool every repeat
+// allocates the whole array.
+func TestRepeatRunReusesWalkCache(t *testing.T) {
+	env := nativeEnv(t, osim.CAPolicy{})
+	w := workloads.NewPageRank()
+	if err := w.Setup(env, rand.New(rand.NewSource(1))); err != nil {
+		t.Fatal(err)
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	run := func() (Result, uint64) {
+		stream := w.Stream(rand.New(rand.NewSource(2)), 20_000)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := Run(env, stream, Config{})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, after.TotalAlloc - before.TotalAlloc
+	}
+	first, _ := run()
+	const limit = 256 << 10
+	least := uint64(math.MaxUint64)
+	for try := 0; try < 8 && least >= limit; try++ {
+		res, bytes := run()
+		if res != first {
+			t.Fatalf("repeat run %d differs:\nfirst  %+v\nrepeat %+v", try, first, res)
+		}
+		least = min(least, bytes)
+	}
+	if least >= limit {
+		t.Fatalf("a repeat Run allocates %d bytes, want under %d (the walk-cache array was not reused)", least, limit)
 	}
 }
 

@@ -11,25 +11,55 @@ import (
 	"repro/internal/osim/daemon"
 	"repro/internal/osim/pagetable"
 	"repro/internal/osim/vma"
+	"repro/internal/trace"
 	"repro/internal/virt"
 )
 
 // popSnapshot captures every piece of simulator state the range-fault
 // path could possibly disturb: kernel clocks, the full Stats structs,
-// every page-table leaf (VA, PTE flags included, span), and per-VMA
-// accounting — in both translation dimensions when virtualized.
+// the fault-event sequence, every page-table leaf (VA, PTE flags
+// included, span), and per-VMA accounting — in both translation
+// dimensions when virtualized.
 type popSnapshot struct {
 	clock      uint64
 	stats      osim.Stats
+	faults     []trace.Event
 	leaves     []pagetable.Leaf
 	vmas       [][4]uint64
 	hostClock  uint64
 	hostStats  osim.Stats
+	hostFaults []trace.Event
 	hostLeaves []pagetable.Leaf
 }
 
-func snapshotEnv(env *Env) popSnapshot {
-	s := popSnapshot{clock: env.Kernel.Clock, stats: env.Kernel.Stats}
+// traceFaults gives each kernel of env its own tracer, so
+// snapshotEnv can recover each kernel's fault events in order.
+func traceFaults(env *Env) {
+	env.Kernel.SetTracer(trace.New())
+	if env.VM != nil {
+		env.VM.Host.SetTracer(trace.New())
+	}
+}
+
+// faultEvents returns k's fault events (kind, va, lat_ns, clock) in
+// emission order, with the tracer's sequence stamps cleared: Stats keeps
+// only a latency histogram, so the order of faults is pinned here.
+func faultEvents(t testing.TB, k *osim.Kernel) []trace.Event {
+	t.Helper()
+	if k.Tracer.Dropped() != 0 {
+		t.Fatalf("tracer dropped %d events; the fault sequence is incomplete", k.Tracer.Dropped())
+	}
+	var out []trace.Event
+	for _, e := range k.Tracer.Events() {
+		if e.Kind <= trace.EvFaultEager {
+			out = append(out, trace.Event{Kind: e.Kind, A: e.A, B: e.B, C: e.C})
+		}
+	}
+	return out
+}
+
+func snapshotEnv(t testing.TB, env *Env) popSnapshot {
+	s := popSnapshot{clock: env.Kernel.Clock, stats: env.Kernel.Stats, faults: faultEvents(t, env.Kernel)}
 	env.Proc.PT.Visit(func(l pagetable.Leaf) { s.leaves = append(s.leaves, l) })
 	env.Proc.VMAs.Visit(func(v *vma.VMA) {
 		s.vmas = append(s.vmas, [4]uint64{uint64(v.Start), v.Pages(), v.MappedPages, v.TouchedPages()})
@@ -37,6 +67,7 @@ func snapshotEnv(env *Env) popSnapshot {
 	if env.VM != nil {
 		s.hostClock = env.VM.Host.Clock
 		s.hostStats = env.VM.Host.Stats
+		s.hostFaults = faultEvents(t, env.VM.Host)
 		env.VM.HostProc.PT.Visit(func(l pagetable.Leaf) { s.hostLeaves = append(s.hostLeaves, l) })
 	}
 	return s
@@ -65,9 +96,9 @@ func nestedEnv(t testing.TB, pl func() osim.Placement) *Env {
 // contract: populating through PopulateRange leaves the simulator in a
 // state indistinguishable from the historical per-page Touch loop —
 // same page-table leaves (flags included), same fault counters and
-// latency traces, same logical clocks, same VMA accounting — under
-// every placement policy, with and without clock-gated daemons, native
-// and nested.
+// latency histograms, same fault-event sequences, same logical clocks,
+// same VMA accounting — under every placement policy, with and without
+// clock-gated daemons, native and nested.
 func TestPopulateRangeMatchesTouchLoop(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -112,12 +143,16 @@ func TestPopulateRangeMatchesTouchLoop(t *testing.T) {
 			run := func(noRange bool) popSnapshot {
 				env := c.build(t)
 				env.NoRangeFault = noRange
+				traceFaults(env)
 				if err := NewSVM().Setup(env, rand.New(rand.NewSource(1))); err != nil {
 					t.Fatalf("setup (NoRangeFault=%v): %v", noRange, err)
 				}
-				return snapshotEnv(env)
+				return snapshotEnv(t, env)
 			}
 			want, got := run(true), run(false)
+			if len(want.faults) == 0 {
+				t.Fatal("setup traced no guest fault events")
+			}
 			if want.clock != got.clock {
 				t.Errorf("guest clock: per-page %d, range %d", want.clock, got.clock)
 			}
@@ -125,13 +160,13 @@ func TestPopulateRangeMatchesTouchLoop(t *testing.T) {
 				t.Errorf("host clock: per-page %d, range %d", want.hostClock, got.hostClock)
 			}
 			if !reflect.DeepEqual(want.stats, got.stats) {
-				t.Errorf("guest stats diverge:\nper-page %+v\nrange    %+v",
-					statsBrief(want.stats), statsBrief(got.stats))
+				t.Errorf("guest stats diverge:\nper-page %+v\nrange    %+v", want.stats, got.stats)
 			}
 			if !reflect.DeepEqual(want.hostStats, got.hostStats) {
-				t.Errorf("host stats diverge:\nper-page %+v\nrange    %+v",
-					statsBrief(want.hostStats), statsBrief(got.hostStats))
+				t.Errorf("host stats diverge:\nper-page %+v\nrange    %+v", want.hostStats, got.hostStats)
 			}
+			diffFaults(t, "guest", want.faults, got.faults)
+			diffFaults(t, "host", want.hostFaults, got.hostFaults)
 			if !reflect.DeepEqual(want.vmas, got.vmas) {
 				t.Errorf("VMA accounting diverges:\nper-page %v\nrange    %v", want.vmas, got.vmas)
 			}
@@ -141,11 +176,18 @@ func TestPopulateRangeMatchesTouchLoop(t *testing.T) {
 	}
 }
 
-// statsBrief drops the latency trace for readable failure messages (the
-// DeepEqual above still compares it).
-func statsBrief(s osim.Stats) osim.Stats {
-	s.FaultLatencies = []uint64{uint64(len(s.FaultLatencies))}
-	return s
+func diffFaults(t *testing.T, dim string, want, got []trace.Event) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Errorf("%s faults: per-page %d events, range %d", dim, len(want), len(got))
+		return
+	}
+	for i := range want {
+		if want[i] != got[i] {
+			t.Errorf("%s fault %d: per-page %+v, range %+v", dim, i, want[i], got[i])
+			return
+		}
+	}
 }
 
 func diffLeaves(t *testing.T, dim string, want, got []pagetable.Leaf) {
