@@ -5,10 +5,12 @@
 // RSS) as CSV. Whole-machine audits run throughout; an audit failure
 // exits non-zero, which is what the CI aging-smoke step gates on.
 //
-// With -shards N the campaign splits the machine into N zone-owning
-// shards stepped concurrently by -shardjobs workers and merged at a
-// deterministic epoch barrier; the trajectory depends on -shards but
-// never on -shardjobs.
+// Every campaign runs on the shard runtime: shards stepped
+// concurrently by -shardjobs workers and merged at a deterministic
+// epoch barrier. The default -shards 1 is one shard that steps the
+// whole machine's kernel (there is no separate single-stream
+// campaign); -shards N splits the machine into N zone-owning shards.
+// The trajectory depends on -shards but never on -shardjobs.
 //
 //	agingsim -policy ranger -steps 360 -csv traj.csv -trace trace.json
 //	agingsim -policy ca -shards 2 -shardjobs 2 -audit 1

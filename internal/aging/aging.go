@@ -14,6 +14,11 @@
 // under a long-running daemon. Campaigns are deterministic per seed:
 // the same Config produces a byte-identical trajectory CSV at any
 // parallelism.
+//
+// Every campaign runs on one runtime: a set of shards, each a tenant
+// stream stepped in a parallel phase and merged at a serial epoch
+// barrier. Shards: 1 is one shard that steps the parent kernel and its
+// daemon set directly; there is no separate single-stream loop.
 package aging
 
 import (
@@ -71,15 +76,14 @@ type Config struct {
 	// SettleEpochs is the number of daemon epochs ticked after every
 	// churn step (default 2).
 	SettleEpochs int
-	// NoRangeFault forwards to Env.NoRangeFault (per-page population).
-	NoRangeFault bool
 	// Pinned are frame extents the audits must treat as intentionally
 	// allocated outside any process (boot reservations).
 	Pinned []check.Extent
 
 	// Shards splits the campaign into independently stepped tenant
-	// streams (default 1: the historical single-stream campaign,
-	// byte-identical to earlier releases). With N > 1 the machine's
+	// streams (default 1). Every value runs on the same shard/barrier
+	// runtime. Shards: 1 is one shard that steps the parent kernel and
+	// its daemon set over the whole machine. With N > 1 the machine's
 	// zones are dealt round-robin to N shards; each shard owns its
 	// zones outright through a zone view and steps with its own
 	// kernel, daemon set, RNG stream, and logical clock, so shards
@@ -211,11 +215,11 @@ type tenant struct {
 
 // Campaign drives one aging run over a kernel and its daemons.
 type Campaign struct {
-	k    *osim.Kernel
-	ds   []workloads.Daemon
-	cfg  Config
-	rng  *rand.Rand
-	zipf *rand.Zipf
+	k   *osim.Kernel
+	cfg Config
+	// rng is the parent stream: it drives only the barrier's cache
+	// churn; tenant churn draws from each shard's own stream.
+	rng *rand.Rand
 
 	// auditor is the campaign's reusable audit arena: one flat-array
 	// Auditor held for the whole run, so the periodic whole-machine
@@ -223,13 +227,11 @@ type Campaign struct {
 	// of rebuilding hash maps at every audit.
 	auditor *check.Auditor
 
-	tenants  []*tenant
-	arrivals int // total tenants ever admitted (round-robins zones)
-
-	// shards is non-empty when cfg.Shards > 1: the campaign steps the
-	// shards (concurrently up to cfg.ShardJobs) and merges their
-	// effects at epoch barriers; the parent kernel k then serves only
-	// the shared page cache and the machine-wide measurements.
+	// shards are the tenant streams the campaign steps (concurrently
+	// up to cfg.ShardJobs) and merges at epoch barriers. A lone shard
+	// steps the parent kernel k itself; with several, each has its own
+	// kernel and k serves only the shared page cache and the
+	// machine-wide measurements.
 	shards []*shard
 
 	gaugeIDs struct {
@@ -238,9 +240,10 @@ type Campaign struct {
 }
 
 // shard is one independently stepped tenant stream owning a zone
-// subset. Everything a shard touches during its parallel step — its
-// kernel, its view's zones, its rng/zipf stream, its tenants — is
-// private to it; cross-shard effects are deferred to the barrier.
+// subset (every zone, when it is the lone shard). Everything a shard
+// touches during its parallel step — its kernel, its zones, its
+// rng/zipf stream, its tenants — is private to it; cross-shard effects
+// are deferred to the barrier.
 type shard struct {
 	idx  int
 	k    *osim.Kernel
@@ -278,14 +281,10 @@ type pendingArrival struct {
 // under test; the campaign only churns tenants and the page cache.
 func New(k *osim.Kernel, ds []workloads.Daemon, cfg Config) *Campaign {
 	cfg = cfg.withDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	span := cfg.MaxFootprintPages - cfg.MinFootprintPages
 	c := &Campaign{
 		k:       k,
-		ds:      ds,
 		cfg:     cfg,
-		rng:     rng,
-		zipf:    rand.NewZipf(rng, cfg.ZipfS, 1, span),
+		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		auditor: check.NewAuditor(k.Machine),
 	}
 	t := k.Tracer
@@ -296,34 +295,32 @@ func New(k *osim.Kernel, ds []workloads.Daemon, cfg Config) *Campaign {
 	c.gaugeIDs.frag = t.Gauge("aging.frag_permille")
 	c.gaugeIDs.ufi2m = t.Gauge("aging.ufi2m_permille")
 
-	if shards := c.cfg.Shards; shards > 1 {
-		if shards > len(k.Machine.Zones) {
-			shards = len(k.Machine.Zones)
-			c.cfg.Shards = shards
-		}
+	shards := max(1, min(c.cfg.Shards, len(k.Machine.Zones)))
+	c.cfg.Shards = shards
+	if shards > 1 && cfg.NewShardKernel == nil {
+		panic("aging: Config.Shards > 1 requires NewShardKernel")
 	}
-	if c.cfg.Shards > 1 {
-		if cfg.NewShardKernel == nil {
-			panic("aging: Config.Shards > 1 requires NewShardKernel")
-		}
-		for s := 0; s < c.cfg.Shards; s++ {
+	span := cfg.MaxFootprintPages - cfg.MinFootprintPages
+	for s := 0; s < shards; s++ {
+		sk, sds := k, ds
+		if shards > 1 {
 			var owned []int
-			for z := s; z < len(k.Machine.Zones); z += c.cfg.Shards {
+			for z := s; z < len(k.Machine.Zones); z += shards {
 				owned = append(owned, z)
 			}
-			sk, sds := cfg.NewShardKernel(k.Machine.View(owned...), s)
-			// Decorrelate the shard streams from each other and from
-			// the parent's cache-churn stream with a fixed odd-multiplier
-			// seed derivation (deterministic in Seed and shard index).
-			srng := rand.New(rand.NewSource(cfg.Seed ^ int64(uint64(s+1)*0x9E3779B97F4A7C15)))
-			c.shards = append(c.shards, &shard{
-				idx:  s,
-				k:    sk,
-				ds:   sds,
-				rng:  srng,
-				zipf: rand.NewZipf(srng, cfg.ZipfS, 1, span),
-			})
+			sk, sds = cfg.NewShardKernel(k.Machine.View(owned...), s)
 		}
+		// Decorrelate the shard streams from each other and from
+		// the parent's cache-churn stream with a fixed odd-multiplier
+		// seed derivation (deterministic in Seed and shard index).
+		srng := rand.New(rand.NewSource(cfg.Seed ^ int64(uint64(s+1)*0x9E3779B97F4A7C15)))
+		c.shards = append(c.shards, &shard{
+			idx:  s,
+			k:    sk,
+			ds:   sds,
+			rng:  srng,
+			zipf: rand.NewZipf(srng, cfg.ZipfS, 1, span),
+		})
 	}
 	return c
 }
@@ -331,22 +328,25 @@ func New(k *osim.Kernel, ds []workloads.Daemon, cfg Config) *Campaign {
 // Run executes the campaign and returns its trajectory. A non-nil
 // error means a whole-machine audit failed (the trajectory up to the
 // failing snapshot is returned alongside it).
+//
+// Each epoch has two phases. The parallel phase steps every shard once
+// — churn, then the shard's daemon settle — touching only shard-owned
+// state (its kernel and clock, its zones and frame records, its
+// rng/zipf stream, its tenants), which makes the phase race-free at
+// any ShardJobs and its outcome independent of worker interleaving.
+// The serial barrier then merges the cross-shard effects in
+// shard-index order: deferred OOM handling against the parent's page
+// cache, periodic cache churn on the parent kernel (which may allocate
+// from any zone — safe, nothing else runs), snapshots over the union
+// machine, and multi-kernel audits.
 func (c *Campaign) Run() (*Trajectory, error) {
-	if len(c.shards) > 0 {
-		return c.runSharded()
-	}
 	tr := &Trajectory{Policy: c.k.Policy.Name()}
 	sinceSnap, snaps := 0, 0
 	for step := 1; step <= c.cfg.Steps; step++ {
-		if err := c.churnStep(); err != nil {
-			return tr, fmt.Errorf("aging: step %d: %w", step, err)
+		c.stepShards(step)
+		if err := c.barrier(step); err != nil {
+			return tr, err
 		}
-		if c.cfg.CacheChurnEvery > 0 && step%c.cfg.CacheChurnEvery == 0 {
-			if err := c.cacheChurn(); err != nil {
-				return tr, fmt.Errorf("aging: step %d cache churn: %w", step, err)
-			}
-		}
-		workloads.SettleDaemons(c.k, c.ds, c.cfg.SettleEpochs)
 
 		sinceSnap++
 		if sinceSnap < c.cfg.SnapshotEvery && step != c.cfg.Steps {
@@ -356,18 +356,20 @@ func (c *Campaign) Run() (*Trajectory, error) {
 		snaps++
 		tr.Snapshots = append(tr.Snapshots, c.snapshot(step))
 		if c.cfg.AuditEvery > 0 && snaps%c.cfg.AuditEvery == 0 {
-			if err := c.auditor.Audit(c.k, c.cfg.Pinned); err != nil {
+			if err := c.audit(); err != nil {
 				return tr, fmt.Errorf("aging: audit after step %d: %w", step, err)
 			}
 		}
 	}
 	// Drain the tenant population so the final audit also covers the
 	// teardown path (where the lifecycle bugs lived).
-	for len(c.tenants) > 0 {
-		c.exitTenant(len(c.tenants) - 1)
+	for _, s := range c.shards {
+		for len(s.tenants) > 0 {
+			s.exit(len(s.tenants) - 1)
+		}
+		workloads.SettleDaemons(s.k, s.ds, c.cfg.SettleEpochs)
 	}
-	workloads.SettleDaemons(c.k, c.ds, c.cfg.SettleEpochs)
-	if err := c.auditor.Audit(c.k, c.cfg.Pinned); err != nil {
+	if err := c.audit(); err != nil {
 		return tr, fmt.Errorf("aging: final audit: %w", err)
 	}
 	return tr, nil
@@ -391,7 +393,7 @@ const (
 // bounds: an empty population always arrives, a full one never does,
 // and the last live tenant never exits. It consumes exactly one rng
 // draw, so callers can interleave it with their own parameter draws and
-// stay deterministic. The campaigns' churnStep/shardChurn draw from it,
+// stay deterministic. The campaign's shard churn draws from it,
 // and tracein.Synth reuses it so synthesized serving traces mirror the
 // aging campaigns' arrival/exit dynamics.
 func ChurnRoll(rng *rand.Rand, live, maxTenants int) ChurnAction {
@@ -404,195 +406,6 @@ func ChurnRoll(rng *rand.Rand, live, maxTenants int) ChurnAction {
 	default:
 		return ChurnExit
 	}
-}
-
-// churnStep performs one tenant lifecycle action, chosen from the
-// ChurnRoll mix.
-func (c *Campaign) churnStep() error {
-	switch ChurnRoll(c.rng, len(c.tenants), c.cfg.MaxTenants) {
-	case ChurnArrive:
-		return c.arrive()
-	case ChurnTouch:
-		return c.touch()
-	default:
-		c.exitTenant(c.rng.Intn(len(c.tenants)))
-		return nil
-	}
-}
-
-// arrive admits one tenant with a Zipf-skewed footprint and populates
-// it. Under memory pressure the page cache is squeezed first; a tenant
-// that still cannot fit is torn down again (the simulated OOM kill),
-// which is itself lifecycle churn worth exercising.
-func (c *Campaign) arrive() error {
-	pages := c.cfg.MinFootprintPages + c.zipf.Uint64()
-	zone := c.arrivals % len(c.k.Machine.Zones)
-	c.arrivals++
-	env := workloads.NewNativeEnv(c.k, zone)
-	env.Daemons = c.ds
-	env.NoRangeFault = c.cfg.NoRangeFault
-	v, err := env.MMap(addr.PagesToBytes(pages))
-	if err != nil {
-		return err
-	}
-	err = env.Populate(v)
-	if errors.Is(err, osim.ErrOOM) {
-		c.k.Cache.ReclaimUnder(c.cfg.ReclaimFreeFrac)
-		err = env.Populate(v)
-	}
-	if errors.Is(err, osim.ErrOOM) {
-		env.Exit()
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	c.tenants = append(c.tenants, &tenant{env: env, vma: v, pages: pages})
-	return nil
-}
-
-// touch revisits a random contiguous chunk of a random tenant's
-// footprint, re-dirtying it (and faulting any pages an eager policy
-// left unmapped after migrations).
-func (c *Campaign) touch() error {
-	t := c.tenants[c.rng.Intn(len(c.tenants))]
-	v := t.vma
-	chunk := t.pages / 4
-	if chunk == 0 {
-		chunk = t.pages
-	}
-	start := uint64(0)
-	if t.pages > chunk {
-		start = uint64(c.rng.Int63n(int64(t.pages - chunk)))
-	}
-	err := t.env.PopulateRange(v, v.Start.Add(addr.PagesToBytes(start)), addr.PagesToBytes(chunk))
-	if errors.Is(err, osim.ErrOOM) {
-		// Pressure: squeeze the cache and move on; the next touch
-		// retries naturally.
-		c.k.Cache.ReclaimUnder(c.cfg.ReclaimFreeFrac)
-		return nil
-	}
-	return err
-}
-
-// exitTenant tears down tenant i.
-func (c *Campaign) exitTenant(i int) {
-	c.tenants[i].env.Exit()
-	c.tenants = append(c.tenants[:i], c.tenants[i+1:]...)
-}
-
-// cacheChurn reads a fresh dataset file through the page cache and
-// applies eviction pressure, alternating DropOldest with the free-frac
-// reclaim sweep.
-func (c *Campaign) cacheChurn() error {
-	f := c.k.Cache.CreateFile(addr.PagesToBytes(c.cfg.FilePages))
-	if err := c.k.Cache.Read(f, 0, f.Bytes); err != nil && !errors.Is(err, osim.ErrOOM) {
-		return err
-	}
-	if c.rng.Intn(2) == 0 {
-		c.k.Cache.DropOldest()
-	}
-	c.k.Cache.ReclaimUnder(c.cfg.ReclaimFreeFrac)
-	return nil
-}
-
-// snapshot measures the machine and records/emits one trajectory point.
-func (c *Campaign) snapshot(step int) Snapshot {
-	var rss uint64
-	for _, p := range c.k.Processes() {
-		rss += p.RSSPages
-	}
-	return c.emitSnapshot(Snapshot{
-		Step:     step,
-		ClockNs:  c.k.Clock,
-		Tenants:  len(c.tenants),
-		RSSPages: rss,
-		Faults:   c.k.Stats.TotalFaults(),
-	})
-}
-
-// emitSnapshot fills the machine-wide fields of a partially measured
-// snapshot (the caller provides the per-stream ones), refreshes the
-// campaign gauges, and emits the snapshot event plus a counter sample.
-func (c *Campaign) emitSnapshot(s Snapshot) Snapshot {
-	// Sum the buddies' per-order counters instead of walking every free
-	// block: snapshots are on the campaign hot path, and the counter read
-	// is O(orders) where the visitor was O(free blocks).
-	var hist [addr.MaxOrder + 1]uint64
-	for _, z := range c.k.Machine.Zones {
-		oc := z.Buddy.OrderCounts()
-		for o, n := range oc {
-			hist[o] += n
-		}
-	}
-	ufi2m := metrics.UnusableFreeIndex(hist, addr.HugeOrder)
-	s.CachePages = c.k.Cache.ResidentPages
-	s.FreePages = c.k.Machine.FreePages()
-	s.FragPermille = uint64(ufi2m*1000 + 0.5)
-	s.UFI2M = ufi2m
-	s.UFIMax = metrics.UnusableFreeIndex(hist, addr.MaxOrder)
-
-	t := c.k.Tracer
-	t.SetGauge(c.gaugeIDs.tenants, uint64(s.Tenants))
-	t.SetGauge(c.gaugeIDs.rss, s.RSSPages)
-	t.SetGauge(c.gaugeIDs.cache, s.CachePages)
-	t.SetGauge(c.gaugeIDs.free, s.FreePages)
-	t.SetGauge(c.gaugeIDs.frag, s.FragPermille)
-	t.SetGauge(c.gaugeIDs.ufi2m, uint64(s.UFI2M*1000+0.5))
-	t.Emit(trace.EvAgingSnapshot, uint64(s.Step), s.RSSPages, s.FragPermille)
-	c.k.Machine.TraceDepths()
-	t.Sample()
-	return s
-}
-
-// --- sharded campaign ---
-//
-// With cfg.Shards > 1 each epoch has two phases. The parallel phase
-// steps every shard once — churn, then the shard's private daemon
-// settle — touching only shard-owned state (its kernel and clock, its
-// view's zones and frame records, its rng/zipf stream, its tenants),
-// which makes the phase race-free at any ShardJobs and its outcome
-// independent of worker interleaving. The serial barrier then merges
-// the cross-shard effects in shard-index order: deferred OOM handling
-// against the parent's page cache, periodic cache churn on the parent
-// kernel (which may allocate from any zone — safe, nothing else runs),
-// snapshots over the union machine, and multi-kernel audits.
-
-// runSharded is Run for Shards > 1.
-func (c *Campaign) runSharded() (*Trajectory, error) {
-	tr := &Trajectory{Policy: c.k.Policy.Name()}
-	sinceSnap, snaps := 0, 0
-	for step := 1; step <= c.cfg.Steps; step++ {
-		c.stepShards(step)
-		if err := c.barrier(step); err != nil {
-			return tr, err
-		}
-
-		sinceSnap++
-		if sinceSnap < c.cfg.SnapshotEvery && step != c.cfg.Steps {
-			continue
-		}
-		sinceSnap = 0
-		snaps++
-		tr.Snapshots = append(tr.Snapshots, c.snapshotSharded(step))
-		if c.cfg.AuditEvery > 0 && snaps%c.cfg.AuditEvery == 0 {
-			if err := c.auditSharded(); err != nil {
-				return tr, fmt.Errorf("aging: audit after step %d: %w", step, err)
-			}
-		}
-	}
-	// Drain every shard's tenants so the final audit covers teardown,
-	// mirroring the single-stream campaign.
-	for _, s := range c.shards {
-		for len(s.tenants) > 0 {
-			s.exit(len(s.tenants) - 1)
-		}
-		workloads.SettleDaemons(s.k, s.ds, c.cfg.SettleEpochs)
-	}
-	if err := c.auditSharded(); err != nil {
-		return tr, fmt.Errorf("aging: final audit: %w", err)
-	}
-	return tr, nil
 }
 
 // shardJobs resolves the parallel-phase worker bound.
@@ -608,7 +421,7 @@ func (c *Campaign) shardJobs() int {
 // the lowest-index one so errors are deterministic too.
 func (c *Campaign) stepShards(step int) {
 	jobs := c.shardJobs()
-	if jobs <= 1 {
+	if jobs <= 1 || len(c.shards) == 1 {
 		for _, s := range c.shards {
 			c.shardStep(s, step)
 		}
@@ -629,11 +442,11 @@ func (c *Campaign) stepShards(step int) {
 }
 
 // shardStep is one shard's parallel-phase work: one churn action plus
-// the shard's private daemon settle window.
+// the shard's daemon settle window.
 func (c *Campaign) shardStep(s *shard, step int) {
 	t := c.k.Tracer
 	start := t.Start()
-	if err := c.shardChurn(s); err != nil {
+	if err := c.churn(s); err != nil {
 		s.err = err
 		return
 	}
@@ -654,30 +467,30 @@ func (c *Campaign) shardMaxTenants(idx int) int {
 	return n
 }
 
-// shardChurn is churnStep on one shard's private stream.
-func (c *Campaign) shardChurn(s *shard) error {
+// churn performs one tenant lifecycle action on the shard's stream,
+// chosen from the ChurnRoll mix.
+func (c *Campaign) churn(s *shard) error {
 	switch ChurnRoll(s.rng, len(s.tenants), c.shardMaxTenants(s.idx)) {
 	case ChurnArrive:
-		return c.shardArrive(s)
+		return c.arrive(s)
 	case ChurnTouch:
-		return c.shardTouch(s)
+		return c.touch(s)
 	default:
 		s.exit(s.rng.Intn(len(s.tenants)))
 		return nil
 	}
 }
 
-// shardArrive admits one tenant into the shard's own zones. An OOM is
-// not resolved here — reclaiming the parent's page cache is a
-// cross-shard effect — so the admission parks on the pending list for
-// the barrier to retry.
-func (c *Campaign) shardArrive(s *shard) error {
+// arrive admits one tenant with a Zipf-skewed footprint into the
+// shard's zones and populates it. An OOM is not resolved here —
+// reclaiming the parent's page cache is a cross-shard effect — so the
+// admission parks on the pending list for the barrier to retry.
+func (c *Campaign) arrive(s *shard) error {
 	pages := c.cfg.MinFootprintPages + s.zipf.Uint64()
 	zoneIdx := s.arrivals % len(s.k.Machine.Zones)
 	s.arrivals++
 	env := workloads.NewNativeEnv(s.k, zoneIdx)
 	env.Daemons = s.ds
-	env.NoRangeFault = c.cfg.NoRangeFault
 	v, err := env.MMap(addr.PagesToBytes(pages))
 	if errors.Is(err, osim.ErrOOM) {
 		s.pending = append(s.pending, pendingArrival{env: env, pages: pages})
@@ -698,9 +511,11 @@ func (c *Campaign) shardArrive(s *shard) error {
 	return nil
 }
 
-// shardTouch is touch on a shard tenant; OOM defers the cache squeeze
-// to the barrier and moves on (the next touch retries naturally).
-func (c *Campaign) shardTouch(s *shard) error {
+// touch revisits a random contiguous chunk of a random tenant's
+// footprint, re-dirtying it (and faulting any pages an eager policy
+// left unmapped after migrations). OOM defers the cache squeeze to the
+// barrier and moves on; the next touch retries naturally.
+func (c *Campaign) touch(s *shard) error {
 	t := s.tenants[s.rng.Intn(len(s.tenants))]
 	v := t.vma
 	chunk := t.pages / 4
@@ -779,40 +594,88 @@ func (c *Campaign) barrier(step int) error {
 	return nil
 }
 
-// snapshotSharded measures across every shard kernel plus the parent.
-// ClockNs composes the parent's clock (cache churn, reclaim) with the
-// slowest shard's — logical time advanced in parallel, so the campaign
-// "took" as long as its slowest stream.
-func (c *Campaign) snapshotSharded(step int) Snapshot {
+// cacheChurn reads a fresh dataset file through the page cache and
+// applies eviction pressure, alternating DropOldest with the free-frac
+// reclaim sweep.
+func (c *Campaign) cacheChurn() error {
+	f := c.k.Cache.CreateFile(addr.PagesToBytes(c.cfg.FilePages))
+	if err := c.k.Cache.Read(f, 0, f.Bytes); err != nil && !errors.Is(err, osim.ErrOOM) {
+		return err
+	}
+	if c.rng.Intn(2) == 0 {
+		c.k.Cache.DropOldest()
+	}
+	c.k.Cache.ReclaimUnder(c.cfg.ReclaimFreeFrac)
+	return nil
+}
+
+// snapshot measures every distinct kernel once, refreshes the campaign
+// gauges, and emits the snapshot event plus a counter sample. ClockNs
+// composes the parent's clock (cache churn, reclaim) with the slowest
+// shard kernel's — logical time advanced in parallel, so the campaign
+// "took" as long as its slowest stream. A lone shard steps the parent
+// kernel itself, so only the parent's clock and faults count.
+func (c *Campaign) snapshot(step int) Snapshot {
 	var rss, faults, maxClock uint64
 	tenants := 0
 	for _, s := range c.shards {
 		for _, p := range s.k.Processes() {
 			rss += p.RSSPages
 		}
-		faults += s.k.Stats.TotalFaults()
 		tenants += len(s.tenants)
-		if s.k.Clock > maxClock {
-			maxClock = s.k.Clock
+		if s.k == c.k {
+			continue
 		}
+		faults += s.k.Stats.TotalFaults()
+		maxClock = max(maxClock, s.k.Clock)
 	}
-	return c.emitSnapshot(Snapshot{
+	s := Snapshot{
 		Step:     step,
 		ClockNs:  c.k.Clock + maxClock,
 		Tenants:  tenants,
 		RSSPages: rss,
 		Faults:   faults + c.k.Stats.TotalFaults(),
-	})
+	}
+	// Sum the buddies' per-order counters instead of walking every free
+	// block: snapshots are on the campaign hot path, and the counter read
+	// is O(orders) where the visitor was O(free blocks).
+	var hist [addr.MaxOrder + 1]uint64
+	for _, z := range c.k.Machine.Zones {
+		oc := z.Buddy.OrderCounts()
+		for o, n := range oc {
+			hist[o] += n
+		}
+	}
+	ufi2m := metrics.UnusableFreeIndex(hist, addr.HugeOrder)
+	s.CachePages = c.k.Cache.ResidentPages
+	s.FreePages = c.k.Machine.FreePages()
+	s.FragPermille = uint64(ufi2m*1000 + 0.5)
+	s.UFI2M = ufi2m
+	s.UFIMax = metrics.UnusableFreeIndex(hist, addr.MaxOrder)
+
+	t := c.k.Tracer
+	t.SetGauge(c.gaugeIDs.tenants, uint64(s.Tenants))
+	t.SetGauge(c.gaugeIDs.rss, s.RSSPages)
+	t.SetGauge(c.gaugeIDs.cache, s.CachePages)
+	t.SetGauge(c.gaugeIDs.free, s.FreePages)
+	t.SetGauge(c.gaugeIDs.frag, s.FragPermille)
+	t.SetGauge(c.gaugeIDs.ufi2m, uint64(s.UFI2M*1000+0.5))
+	t.Emit(trace.EvAgingSnapshot, uint64(s.Step), s.RSSPages, s.FragPermille)
+	c.k.Machine.TraceDepths()
+	t.Sample()
+	return s
 }
 
-// auditSharded runs the multi-kernel whole-machine audit: references
-// are gathered from every shard's processes and the parent's page
-// cache before one frame sweep over the union machine.
-func (c *Campaign) auditSharded() error {
-	ks := make([]*osim.Kernel, 0, len(c.shards)+1)
-	ks = append(ks, c.k)
+// audit runs the multi-kernel whole-machine audit: references are
+// gathered from every distinct kernel — the parent's page cache and
+// each shard's processes — before one frame sweep over the union
+// machine. A kernel listed twice would double-count its references.
+func (c *Campaign) audit() error {
+	ks := []*osim.Kernel{c.k}
 	for _, s := range c.shards {
-		ks = append(ks, s.k)
+		if s.k != c.k {
+			ks = append(ks, s.k)
+		}
 	}
 	return c.auditor.AuditKernels(c.k.Machine, ks, c.cfg.Pinned)
 }

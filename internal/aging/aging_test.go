@@ -42,8 +42,10 @@ func newKernel(t *testing.T, policy string) (*osim.Kernel, []workloads.Daemon) {
 }
 
 // smallConfig keeps campaigns quick while auditing at every snapshot.
+// It runs one shard: the lone shard steps the parent kernel.
 func smallConfig() aging.Config {
 	return aging.Config{
+		Shards:            1,
 		Seed:              1,
 		Steps:             60,
 		SnapshotEvery:     5,
@@ -56,9 +58,10 @@ func smallConfig() aging.Config {
 }
 
 // TestCampaignAuditCleanPerPolicy churns every policy through a full
-// campaign with a whole-machine audit at every snapshot: the lifecycle
-// leaks this harness was built to flush out all surface here as audit
-// or invariant failures.
+// one-shard campaign with a whole-machine audit at every snapshot: the
+// lifecycle leaks this harness was built to flush out all surface here
+// as audit or invariant failures, and so would an audit that gathered
+// the parent kernel's references twice.
 func TestCampaignAuditCleanPerPolicy(t *testing.T) {
 	for _, policy := range []string{"thp", "ingens", "ca", "eager", "ranger"} {
 		t.Run(policy, func(t *testing.T) {

@@ -111,25 +111,56 @@ func TestShardedCampaignSeedsDiffer(t *testing.T) {
 	}
 }
 
-// TestShardedDiffersFromSingleStream documents that Shards > 1 is a
-// different (still deterministic) campaign, not a re-ordering of the
-// single-stream one: the streams, daemon schedules, and OOM handling
-// are per shard.
-func TestShardedDiffersFromSingleStream(t *testing.T) {
-	single := func() string {
-		k, ds := newKernel(t, "thp")
-		tr, err := aging.New(k, ds, smallConfig()).Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := tr.WriteCSV(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.String()
+// TestSingleShardDiffersFromTwoShards keeps sharding exercised: a
+// two-shard campaign is a different (still deterministic) campaign from
+// the one-shard default, not a re-ordering of it — the streams, daemon
+// schedules, and OOM handling are per shard.
+func TestSingleShardDiffersFromTwoShards(t *testing.T) {
+	if renderSharded(t, "thp", smallConfig()) == renderSharded(t, "thp", shardedConfig("thp", 1)) {
+		t.Fatal("one-shard and two-shard campaigns coincided — sharding is not being exercised")
 	}
-	if single() == renderSharded(t, "thp", shardedConfig("thp", 1)) {
-		t.Fatal("sharded and single-stream campaigns coincided — sharding is not being exercised")
+}
+
+// TestSingleShardStepsParentKernel pins the one-shard runtime: the lone
+// shard steps the parent kernel itself, so every step emits exactly one
+// epoch span and one barrier span, and every snapshot counts that
+// kernel once — its ClockNs is the kernel clock the step's barrier
+// closed on, and the final Faults is the kernel's own fault count (no
+// daemons run, so the drain adds none).
+func TestSingleShardStepsParentKernel(t *testing.T) {
+	tr := trace.New()
+	k, ds := newKernel(t, "thp")
+	k.SetTracer(tr)
+	cfg := smallConfig()
+	cfg.SnapshotEvery = 1
+	traj, err := aging.New(k, ds, cfg).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := tr.Count(trace.EvShardEpoch); n != 60 {
+		t.Fatalf("EvShardEpoch count = %d, want 60 (one shard x 60 steps)", n)
+	}
+	var barrierClocks []uint64
+	for _, e := range tr.Events() {
+		switch e.Kind {
+		case trace.EvShardEpoch:
+			if e.A != 0 {
+				t.Fatalf("epoch span names shard %d, want only shard 0", e.A)
+			}
+		case trace.EvShardBarrier:
+			barrierClocks = append(barrierClocks, e.C)
+		}
+	}
+	if len(barrierClocks) != 60 || len(traj.Snapshots) != 60 {
+		t.Fatalf("%d barriers and %d snapshots, want 60 of each", len(barrierClocks), len(traj.Snapshots))
+	}
+	for i, s := range traj.Snapshots {
+		if s.ClockNs != barrierClocks[i] {
+			t.Fatalf("step %d: snapshot clock %d, kernel clock %d", s.Step, s.ClockNs, barrierClocks[i])
+		}
+	}
+	if f, want := traj.Final().Faults, k.Stats.TotalFaults(); f != want {
+		t.Fatalf("final snapshot counts %d faults, kernel took %d", f, want)
 	}
 }
 

@@ -43,7 +43,6 @@ func bootPinned(numaOff bool) []check.Extent {
 func RunAgingCampaign(pr Params, pol PolicyName, cfg aging.Config) (*aging.Trajectory, error) {
 	k, ds := newNativeKernel(pr, pol, false)
 	cfg.Pinned = bootPinned(false)
-	cfg.NoRangeFault = pr.NoRangeFault
 	if cfg.Shards > 1 {
 		if cfg.ShardJobs == 0 {
 			cfg.ShardJobs = pr.ShardJobs

@@ -80,7 +80,6 @@ func FigBackends(p Params) (*Table, error) {
 			k, _ = newNativeKernel(p, PolicyCA, false)
 			env = workloads.NewNativeEnv(k, 0)
 		}
-		env.NoRangeFault = p.NoRangeFault
 		wl := workloads.ByName(name)
 		tr := p.Tracer
 		start := tr.Start()
@@ -90,7 +89,7 @@ func FigBackends(p Params) (*Table, error) {
 		tr.EmitPhase(name+"/"+backend+"/setup", start)
 		start = tr.Start()
 		res, err := sim.Run(env, wl.Stream(rand.New(rand.NewSource(p.streamSeed())), p.StreamLen),
-			sim.Config{Backend: backend, NoWalkCache: p.NoWalkCache, Tracer: p.Tracer})
+			sim.Config{Backend: backend, Tracer: p.Tracer})
 		tr.EmitPhase(name+"/"+backend+"/measure", start)
 		if err != nil {
 			return fmt.Errorf("figBackends %s/%s/%s: %w", name, modes[c.mi], backend, err)

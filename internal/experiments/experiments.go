@@ -218,7 +218,6 @@ func runNativeContig(p Params, w workloads.Workload, pol PolicyName) (ContigStat
 	k, ds := newNativeKernel(p, pol, false)
 	env := workloads.NewNativeEnv(k, 0)
 	env.Daemons = ds
-	env.NoRangeFault = p.NoRangeFault
 	tr := p.Tracer
 	start := tr.Start()
 	if err := w.Setup(env, rand.New(rand.NewSource(p.setupSeed()))); err != nil {

@@ -38,17 +38,6 @@ type Params struct {
 	// full cross-product. Every other driver reproduces the paper's
 	// baseline stack and ignores it.
 	Backend string
-	// NoWalkCache disables sim's software walk-memoization cache in
-	// every translation driver. Tables are byte-identical either way
-	// (runner.TestWalkCacheToggleMatches pins this); the toggle exists
-	// for regression comparison and debugging.
-	NoWalkCache bool
-	// NoRangeFault disables the batched range-fault population path in
-	// every driver: workload Setup falls back to the historical
-	// per-page Touch loop. Tables are byte-identical either way
-	// (runner.TestRangeFaultToggleMatches pins this); the toggle exists
-	// for regression comparison and debugging.
-	NoRangeFault bool
 	// Tracer, when non-nil, is threaded into every kernel, VM, and sim
 	// run the drivers build, collecting events across the whole
 	// experiment. Tables are byte-identical with or without it (pinned

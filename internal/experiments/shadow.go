@@ -38,12 +38,11 @@ func ExtraShadowFor(p Params, names []string) (*Table, error) {
 				return nil, err
 			}
 			env := workloads.NewVirtEnv(vm, 0)
-			env.NoRangeFault = p.NoRangeFault
 			if err := w.Setup(env, rand.New(rand.NewSource(p.setupSeed()))); err != nil {
 				return nil, fmt.Errorf("shadow %s: %w", name, err)
 			}
 			res, err := sim.Run(env, w.Stream(rand.New(rand.NewSource(p.streamSeed())), p.StreamLen),
-				sim.Config{ShadowPaging: shadow, NoWalkCache: p.NoWalkCache, Tracer: p.Tracer})
+				sim.Config{ShadowPaging: shadow, Tracer: p.Tracer})
 			if err != nil {
 				return nil, err
 			}

@@ -38,7 +38,6 @@ func Fig11For(p Params, names []string) (*Table, error) {
 		k, ds := newNativeKernel(p, pol, false)
 		env := workloads.NewNativeEnv(k, 0)
 		env.Daemons = ds
-		env.NoRangeFault = p.NoRangeFault
 		if err := workloads.ByName(name).Setup(env, rand.New(rand.NewSource(p.setupSeed()))); err != nil {
 			return fmt.Errorf("fig11 %s/%s: %w", name, pol, err)
 		}
@@ -110,7 +109,6 @@ func Table5For(p Params, names []string) (*Table, error) {
 		k, ds := newNativeKernel(p, pol, false)
 		env := workloads.NewNativeEnv(k, 0)
 		env.Daemons = ds
-		env.NoRangeFault = p.NoRangeFault
 		if err := workloads.ByName(name).Setup(env, rand.New(rand.NewSource(p.setupSeed()))); err != nil {
 			return fmt.Errorf("table5 %s/%s: %w", name, pol, err)
 		}
@@ -158,7 +156,6 @@ func Table6For(p Params, names []string) (*Table, error) {
 			k, ds := newNativeKernel(p, pol, false)
 			env := workloads.NewNativeEnv(k, 0)
 			env.Daemons = ds
-			env.NoRangeFault = p.NoRangeFault
 			if err := workloads.ByName(name).Setup(env, rand.New(rand.NewSource(p.setupSeed()))); err != nil {
 				return nil, fmt.Errorf("table6 %s/%s: %w", name, pol, err)
 			}

@@ -43,7 +43,6 @@ func runTranslation(p Params, name string) (translationRun, error) {
 			k.THPEnabled = thp
 			env = workloads.NewNativeEnv(k, 0)
 		}
-		env.NoRangeFault = p.NoRangeFault
 		w := workloads.ByName(name)
 		tr := p.Tracer
 		start := tr.Start()
@@ -52,7 +51,7 @@ func runTranslation(p Params, name string) (translationRun, error) {
 		}
 		tr.EmitPhase(name+"/setup", start)
 		start = tr.Start()
-		res, err := sim.Run(env, w.Stream(rand.New(rand.NewSource(p.streamSeed())), p.StreamLen), sim.Config{EnableSchemes: schemes, NoWalkCache: p.NoWalkCache, Tracer: p.Tracer})
+		res, err := sim.Run(env, w.Stream(rand.New(rand.NewSource(p.streamSeed())), p.StreamLen), sim.Config{EnableSchemes: schemes, Tracer: p.Tracer})
 		tr.EmitPhase(name+"/measure", start)
 		if err == nil {
 			if vm != nil {
@@ -179,12 +178,11 @@ func Fig14For(p Params, names []string) (*Table, error) {
 			return err
 		}
 		env := workloads.NewVirtEnv(vm, 0)
-		env.NoRangeFault = p.NoRangeFault
 		wl := workloads.ByName(name)
 		if err := wl.Setup(env, rand.New(rand.NewSource(p.setupSeed()))); err != nil {
 			return fmt.Errorf("fig14 %s: %w", name, err)
 		}
-		res, err := sim.Run(env, wl.Stream(rand.New(rand.NewSource(p.streamSeed())), p.StreamLen), sim.Config{EnableSchemes: true, NoWalkCache: p.NoWalkCache, Tracer: p.Tracer})
+		res, err := sim.Run(env, wl.Stream(rand.New(rand.NewSource(p.streamSeed())), p.StreamLen), sim.Config{EnableSchemes: true, Tracer: p.Tracer})
 		if err != nil {
 			return err
 		}
@@ -232,12 +230,11 @@ func Table7For(p Params, names []string) (*Table, error) {
 			return err
 		}
 		env := workloads.NewVirtEnv(vm, 0)
-		env.NoRangeFault = p.NoRangeFault
 		wl := workloads.ByName(name)
 		if err := wl.Setup(env, rand.New(rand.NewSource(p.setupSeed()))); err != nil {
 			return fmt.Errorf("table7 %s: %w", name, err)
 		}
-		res, err := sim.Run(env, wl.Stream(rand.New(rand.NewSource(p.streamSeed())), p.StreamLen), sim.Config{NoWalkCache: p.NoWalkCache, Tracer: p.Tracer})
+		res, err := sim.Run(env, wl.Stream(rand.New(rand.NewSource(p.streamSeed())), p.StreamLen), sim.Config{Tracer: p.Tracer})
 		if err != nil {
 			return err
 		}

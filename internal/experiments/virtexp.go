@@ -38,7 +38,6 @@ func Fig12For(p Params, names []string) (*Table, error) {
 		}
 		for _, name := range names {
 			env := workloads.NewVirtEnv(vm, 0)
-			env.NoRangeFault = p.NoRangeFault
 			if err := workloads.ByName(name).Setup(env, rand.New(rand.NewSource(p.setupSeed()))); err != nil {
 				return fmt.Errorf("fig12 %s/%s: %w", name, pol, err)
 			}
@@ -83,7 +82,6 @@ func Table1For(p Params, names []string) (*Table, error) {
 		}
 		for _, name := range names {
 			env := workloads.NewVirtEnv(vm, 0)
-			env.NoRangeFault = p.NoRangeFault
 			if err := workloads.ByName(name).Setup(env, rand.New(rand.NewSource(p.setupSeed()))); err != nil {
 				return nil, fmt.Errorf("table1 %s/%s: %w", name, pol, err)
 			}

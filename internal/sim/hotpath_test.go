@@ -35,53 +35,131 @@ func (s *mutStream) Next() (workloads.Access, bool) {
 	return a, true
 }
 
-// TestWalkCacheInvalidation pins the self-invalidation contract: after
-// pages are unmapped mid-stream, the memoized walk must miss (the
-// generation moved) and the unmapped pages must surface as counted
-// demand faults on the retry path — a stale cache would keep serving
-// the old translations with Faults = 0. The cached and uncached runs
-// must agree on every counter.
+// caEnv builds a CA-paging environment: nested with CA in both
+// dimensions, or native.
+func caEnv(t testing.TB, nested bool) *workloads.Env {
+	if nested {
+		return virtEnv(t, osim.CAPolicy{}, osim.CAPolicy{})
+	}
+	return nativeEnv(t, osim.CAPolicy{})
+}
+
+// TestWalkCacheInvalidation pins the self-invalidation contract for
+// every backend, native and nested: after pages are unmapped
+// mid-stream, the memoized walk must miss (the generation moved) and
+// the unmapped pages must surface as counted demand faults on the
+// retry path — a stale cache would keep serving the old translations
+// with Faults = 0. The cached and uncached runs must agree on every
+// counter. Run drains streams accessBatch accesses at a time, so the
+// unmap hook sits at a batch boundary: the sweeps before it have been
+// simulated (and memoized) when it fires.
 func TestWalkCacheInvalidation(t *testing.T) {
 	const pages = 512
 	unmapped := []uint64{3, 100, 200}
-	run := func(noCache bool) Result {
-		env := nativeEnv(t, osim.CAPolicy{})
-		// 4K mappings so the 512-page sweep exceeds TLB reach and every
-		// access exercises the translate path.
-		env.Kernel.THPEnabled = false
-		v, err := env.MMap(pages * addr.PageSize)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := env.Populate(v); err != nil {
-			t.Fatal(err)
-		}
-		var accs []workloads.Access
-		for sweep := 0; sweep < 2; sweep++ {
-			for i := uint64(0); i < pages; i++ {
-				accs = append(accs, workloads.Access{VA: v.Start.Add(i * addr.PageSize)})
+	for _, backend := range translation.Names() {
+		for _, nested := range []bool{false, true} {
+			dim := "native"
+			if nested {
+				dim = "nested"
 			}
-		}
-		hooks := map[int]func(){pages: func() {
-			for _, i := range unmapped {
-				if _, _, ok := env.Proc.PT.Unmap(v.Start.Add(i * addr.PageSize)); !ok {
-					t.Fatal("unmap target not mapped")
+			t.Run(backend+"/"+dim, func(t *testing.T) {
+				run := func(noCache bool) Result {
+					env := caEnv(t, nested)
+					// 4K mappings so the 512-page sweep exceeds TLB reach
+					// and every access exercises the translate path.
+					env.Kernel.THPEnabled = false
+					v, err := env.MMap(pages * addr.PageSize)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := env.Populate(v); err != nil {
+						t.Fatal(err)
+					}
+					var accs []workloads.Access
+					for sweep := 0; sweep < accessBatch/pages+1; sweep++ {
+						for i := uint64(0); i < pages; i++ {
+							accs = append(accs, workloads.Access{VA: v.Start.Add(i * addr.PageSize)})
+						}
+					}
+					hooks := map[int]func(){accessBatch: func() {
+						for _, i := range unmapped {
+							if _, _, ok := env.Proc.PT.Unmap(v.Start.Add(i * addr.PageSize)); !ok {
+								t.Fatal("unmap target not mapped")
+							}
+						}
+					}}
+					res, err := Run(env, &mutStream{accs: accs, hooks: hooks}, Config{Backend: backend, NoWalkCache: noCache})
+					if err != nil {
+						t.Fatal(err)
+					}
+					return res
 				}
-			}
-		}}
-		res, err := Run(env, &mutStream{accs: accs, hooks: hooks}, Config{NoWalkCache: noCache})
-		if err != nil {
-			t.Fatal(err)
+				cached := run(false)
+				if cached.Faults != uint64(len(unmapped)) {
+					t.Fatalf("faults = %d, want %d (a stale walk cache would still serve the unmapped pages)",
+						cached.Faults, len(unmapped))
+				}
+				if uncached := run(true); cached != uncached {
+					t.Fatalf("cached and uncached results differ:\n%+v\n%+v", cached, uncached)
+				}
+			})
 		}
-		return res
 	}
-	cached := run(false)
-	if cached.Faults != uint64(len(unmapped)) {
-		t.Fatalf("faults = %d, want %d (a stale walk cache would still serve the unmapped pages)",
-			cached.Faults, len(unmapped))
+}
+
+// TestWalkCacheOnOffMatches pins that the walk cache is a pure
+// execution optimization: a real workload stream yields the same
+// Result with the memo on and off, for every translation backend,
+// native and nested, and for the paged backend's scheme emulation,
+// its SpOT confidence ablation and (nested) shadow paging — the
+// configurations the translation experiments run.
+func TestWalkCacheOnOffMatches(t *testing.T) {
+	type variant struct {
+		name       string
+		cfg        Config
+		nestedOnly bool
 	}
-	if uncached := run(true); cached != uncached {
-		t.Fatalf("cached and uncached results differ:\n%+v\n%+v", cached, uncached)
+	variants := []variant{
+		{name: "schemes", cfg: Config{EnableSchemes: true}},
+		{name: "schemes-noconfidence", cfg: Config{EnableSchemes: true, SpotNoConfidence: true}},
+		{name: "shadow", cfg: Config{ShadowPaging: true}, nestedOnly: true},
+	}
+	for _, b := range translation.Names() {
+		variants = append(variants, variant{name: b, cfg: Config{Backend: b}})
+	}
+	for _, nested := range []bool{false, true} {
+		for _, w := range []workloads.Workload{workloads.NewPageRank(), workloads.NewHashJoin()} {
+			env, dim := caEnv(t, nested), "native"
+			if nested {
+				dim = "nested"
+			}
+			if err := w.Setup(env, rand.New(rand.NewSource(1))); err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range variants {
+				if v.nestedOnly && !nested {
+					continue
+				}
+				t.Run(dim+"/"+w.Name()+"/"+v.name, func(t *testing.T) {
+					run := func(noCache bool) Result {
+						cfg := v.cfg
+						cfg.NoWalkCache = noCache
+						res, err := Run(env, w.Stream(rand.New(rand.NewSource(2)), 20_000), cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						return res
+					}
+					on, off := run(false), run(true)
+					if on != off {
+						t.Fatalf("walk cache changed the result:\non  %+v\noff %+v", on, off)
+					}
+					if on.Misses == 0 {
+						t.Fatal("stream took no TLB misses — the walk path was never exercised")
+					}
+				})
+			}
+		}
 	}
 }
 

@@ -58,8 +58,11 @@ type Config struct {
 	// NoWalkCache disables the software walk-memoization cache (the
 	// simulator's paging-structure-cache analogue). Results are
 	// identical either way — the cache self-invalidates on page-table
-	// generation changes — so the toggle exists only for regression
-	// comparison and microbenchmarks.
+	// generation changes (TestWalkCacheOnOffMatches) — so the choice
+	// is purely one of cost. Long runs want the cache; tracein's
+	// per-tenant replay engines turn it off, because each is short-lived
+	// and would otherwise clear a pooled 3 MiB array on every tenant
+	// respawn.
 	NoWalkCache bool
 	// Tracer, when non-nil, receives per-batch spans, walk spans, TLB
 	// miss/evict events, and SpOT predict/mispredict events from the

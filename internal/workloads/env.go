@@ -84,12 +84,10 @@ type Env struct {
 	// kernel's logical clock.
 	Daemons []Daemon
 
-	// NoRangeFault disables the batched range-fault population path:
-	// PopulateRange degrades to the historical per-page Touch loop.
-	// Every experiment table is byte-identical either way (pinned by
-	// runner.TestRangeFaultToggleMatches); the toggle exists for
-	// regression comparison and debugging.
-	NoRangeFault bool
+	// populateRef, when set, replaces PopulateRange's batched path.
+	// Only this package's tests set it, to the per-page reference loop
+	// the batched path must match.
+	populateRef func(e *Env, v *vma.VMA, start addr.VirtAddr, pages uint64) error
 }
 
 // NewNativeEnv creates a process on the given kernel.
@@ -168,8 +166,9 @@ func (e *Env) PopulatePrefix(v *vma.VMA, bytes uint64) error {
 
 // PopulateRange writes to every page of [start, start+bytes) within v —
 // the batched range-fault path. Its observable outcome is byte-
-// identical to the historical per-page loop (Touch(start+off, true)
-// for every page, polling every daemon after every touch); only the
+// identical to the per-page loop (Touch(start+off, true) for every
+// page, polling every daemon after every touch), which survives only
+// as the reference of TestPopulateRangeMatchesTouchLoop; only the
 // execution strategy differs:
 //
 //   - the containing VMA is resolved once, not once per touch;
@@ -192,13 +191,8 @@ func (e *Env) PopulatePrefix(v *vma.VMA, bytes uint64) error {
 // kernel's clock. Promotion, migration, and fault service all Tick.)
 func (e *Env) PopulateRange(v *vma.VMA, start addr.VirtAddr, bytes uint64) error {
 	pages := addr.BytesToPages(bytes)
-	if e.NoRangeFault {
-		for off := uint64(0); off < pages*addr.PageSize; off += addr.PageSize {
-			if err := e.Touch(start.Add(off), true); err != nil {
-				return fmt.Errorf("populate %v at +%d: %w", v, uint64(start.Add(off)-v.Start), err)
-			}
-		}
-		return nil
+	if e.populateRef != nil {
+		return e.populateRef(e, v, start, pages)
 	}
 	va := start
 	quiescent := false
@@ -229,7 +223,8 @@ func (e *Env) PopulateRange(v *vma.VMA, start addr.VirtAddr, bytes uint64) error
 
 // touchStep performs one per-page touch with its full daemon poll round
 // and reports whether the round was quiescent: no fault taken and no
-// kernel clock moved across the polls.
+// kernel clock moved across the polls. The daemons are polled even
+// when the touch fails, as Touch polls them.
 func (e *Env) touchStep(v *vma.VMA, va addr.VirtAddr) (bool, error) {
 	var faulted bool
 	var err error
@@ -238,12 +233,12 @@ func (e *Env) touchStep(v *vma.VMA, va addr.VirtAddr) (bool, error) {
 	} else {
 		faulted, err = e.Proc.TouchAt(v, va, true)
 	}
-	if err != nil {
-		return false, err
-	}
 	before := e.clockSum()
 	for _, d := range e.Daemons {
 		d.Maybe()
+	}
+	if err != nil {
+		return false, err
 	}
 	return !faulted && e.clockSum() == before, nil
 }

@@ -1,6 +1,8 @@
 package workloads
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -33,11 +35,13 @@ type popSnapshot struct {
 }
 
 // traceFaults gives each kernel of env its own tracer, so
-// snapshotEnv can recover each kernel's fault events in order.
+// snapshotEnv can recover each kernel's fault events in order. The
+// machines stay untraced: their buddy events would only repeat what
+// the leaves and Stats already pin, at several times the cost.
 func traceFaults(env *Env) {
-	env.Kernel.SetTracer(trace.New())
+	env.Kernel.Tracer = trace.New()
 	if env.VM != nil {
-		env.VM.Host.SetTracer(trace.New())
+		env.VM.Host.Tracer = trace.New()
 	}
 }
 
@@ -92,18 +96,37 @@ func nestedEnv(t testing.TB, pl func() osim.Placement) *Env {
 	return NewVirtEnv(vm, 0)
 }
 
-// TestPopulateRangeMatchesTouchLoop pins the range-fault batching
-// contract: populating through PopulateRange leaves the simulator in a
-// state indistinguishable from the historical per-page Touch loop —
-// same page-table leaves (flags included), same fault counters and
-// latency histograms, same fault-event sequences, same logical clocks,
-// same VMA accounting — under every placement policy, with and without
-// clock-gated daemons, native and nested.
-func TestPopulateRangeMatchesTouchLoop(t *testing.T) {
-	cases := []struct {
-		name  string
-		build func(t testing.TB) *Env
-	}{
+// touchLoop is the per-page reference population PopulateRange must
+// match: Touch every page in order, polling every daemon after every
+// touch.
+func touchLoop(e *Env, v *vma.VMA, start addr.VirtAddr, pages uint64) error {
+	for i := uint64(0); i < pages; i++ {
+		va := start.Add(i * addr.PageSize)
+		if err := e.Touch(va, true); err != nil {
+			return fmt.Errorf("populate %v at +%d: %w", v, uint64(va-v.Start), err)
+		}
+	}
+	return nil
+}
+
+// pollCounter is a daemon that only counts its polls. The per-page
+// loop polls every daemon after every touch; the batched path must
+// deliver the same polls through its MaybeN catch-up.
+type pollCounter struct{ polls uint64 }
+
+func (p *pollCounter) Maybe()          { p.polls++ }
+func (p *pollCounter) MaybeN(n uint64) { p.polls += n }
+
+// popCase is one environment the range-fault contract is checked in.
+type popCase struct {
+	name  string
+	build func(t testing.TB) *Env
+}
+
+// popCases are every placement policy native, with and without
+// clock-gated daemons, and nested.
+func popCases() []popCase {
+	return []popCase{
 		{"native-thp", func(t testing.TB) *Env {
 			return NewNativeEnv(osim.NewKernel(machineFor(t), osim.DefaultPolicy{}), 0)
 		}},
@@ -137,43 +160,148 @@ func TestPopulateRangeMatchesTouchLoop(t *testing.T) {
 			return env
 		}},
 	}
-	for _, c := range cases {
+}
+
+// touchChunks is the aging campaign's touch shape: a tenant VMA only
+// half populated, then re-touched in quarter-size chunks at random
+// page offsets with a daemon settle window between touches, so the
+// chunks mix present runs, demand faults and daemon-moved pages.
+func touchChunks(env *Env) error {
+	const pages, chunk = 4096, 1024
+	v, err := env.MMap(pages * addr.PageSize)
+	if err != nil {
+		return err
+	}
+	if err := env.PopulatePrefix(v, pages/2*addr.PageSize); err != nil {
+		return err
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 12; i++ {
+		start := uint64(rng.Int63n(pages - chunk))
+		if err := env.PopulateRange(v, v.Start.Add(start*addr.PageSize), chunk*addr.PageSize); err != nil {
+			return err
+		}
+		SettleDaemons(env.Kernel, env.Daemons, 2)
+	}
+	return nil
+}
+
+// populateOOM allocates MAX_ORDER blocks from the kernel's machine
+// until at most 6 MiB is free and then populates an 8 MiB VMA, which
+// runs out of memory partway through. Eager placement populates inside MMap, so
+// under it the OOM surfaces there instead.
+func populateOOM(env *Env) error {
+	m := env.Kernel.Machine
+	for m.FreePages() > 512+addr.MaxOrderPages {
+		if _, err := m.AllocBlock(0, addr.MaxOrder); err != nil {
+			break
+		}
+	}
+	v, err := env.MMap(8 << 20)
+	if err != nil {
+		return err
+	}
+	return env.Populate(v)
+}
+
+// popDrive is one population scenario run in every popCases env.
+type popDrive struct {
+	name  string
+	drive func(env *Env) error
+	// traced also compares the fault-event sequences. The svm Setup and
+	// the aging shapes are traced; the other Setups take ~10^5 4K
+	// faults under Ingens, whose tracing costs seconds under -race,
+	// and their leaves, Stats and clocks still pin the outcome.
+	traced bool
+	// oom marks a drive that must end in ErrOOM.
+	oom bool
+}
+
+// TestPopulateRangeMatchesTouchLoop pins the range-fault batching
+// contract: populating through PopulateRange leaves the simulator in a
+// state indistinguishable from the per-page Touch loop — same
+// page-table leaves (flags included), same fault counters and latency
+// histograms, same fault-event sequences, same logical clocks, same
+// VMA accounting, same daemon polls, same error — under every
+// placement policy, with and without clock-gated daemons, native and
+// nested. Each environment runs every workload's Setup, the aging
+// campaign's partial re-touch, and an OOM-interrupted populate; the
+// fault-event sequences are compared where popDrive.traced is set.
+func TestPopulateRangeMatchesTouchLoop(t *testing.T) {
+	drives := []popDrive{
+		{name: "touch-chunks", drive: touchChunks, traced: true},
+		{name: "oom", drive: populateOOM, traced: true, oom: true},
+	}
+	for _, w := range All() {
+		name := w.Name()
+		drives = append(drives, popDrive{name: name, traced: name == "svm", drive: func(env *Env) error {
+			return ByName(name).Setup(env, rand.New(rand.NewSource(1)))
+		}})
+	}
+	for _, c := range popCases() {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			run := func(noRange bool) popSnapshot {
-				env := c.build(t)
-				env.NoRangeFault = noRange
-				traceFaults(env)
-				if err := NewSVM().Setup(env, rand.New(rand.NewSource(1))); err != nil {
-					t.Fatalf("setup (NoRangeFault=%v): %v", noRange, err)
-				}
-				return snapshotEnv(t, env)
+			t.Parallel() // every case builds its own machines and kernels
+			for _, d := range drives {
+				d := d
+				t.Run(d.name, func(t *testing.T) {
+					run := func(ref bool) (popSnapshot, uint64, error) {
+						env := c.build(t)
+						polls := &pollCounter{}
+						env.Daemons = append(env.Daemons, polls)
+						if ref {
+							env.populateRef = touchLoop
+						}
+						if d.traced {
+							traceFaults(env)
+						}
+						err := d.drive(env)
+						return snapshotEnv(t, env), polls.polls, err
+					}
+					want, wantPolls, wantErr := run(true)
+					got, gotPolls, gotErr := run(false)
+					if d.oom != errors.Is(wantErr, osim.ErrOOM) {
+						t.Fatalf("per-page run: err = %v, want OOM %v", wantErr, d.oom)
+					}
+					if fmt.Sprint(wantErr) != fmt.Sprint(gotErr) {
+						t.Fatalf("error: per-page %v, range %v", wantErr, gotErr)
+					}
+					if wantPolls != gotPolls {
+						t.Errorf("daemon polls: per-page %d, range %d", wantPolls, gotPolls)
+					}
+					if d.traced && !d.oom && len(want.faults) == 0 {
+						t.Fatal("traced no guest fault events")
+					}
+					compareSnapshots(t, want, got)
+				})
 			}
-			want, got := run(true), run(false)
-			if len(want.faults) == 0 {
-				t.Fatal("setup traced no guest fault events")
-			}
-			if want.clock != got.clock {
-				t.Errorf("guest clock: per-page %d, range %d", want.clock, got.clock)
-			}
-			if want.hostClock != got.hostClock {
-				t.Errorf("host clock: per-page %d, range %d", want.hostClock, got.hostClock)
-			}
-			if !reflect.DeepEqual(want.stats, got.stats) {
-				t.Errorf("guest stats diverge:\nper-page %+v\nrange    %+v", want.stats, got.stats)
-			}
-			if !reflect.DeepEqual(want.hostStats, got.hostStats) {
-				t.Errorf("host stats diverge:\nper-page %+v\nrange    %+v", want.hostStats, got.hostStats)
-			}
-			diffFaults(t, "guest", want.faults, got.faults)
-			diffFaults(t, "host", want.hostFaults, got.hostFaults)
-			if !reflect.DeepEqual(want.vmas, got.vmas) {
-				t.Errorf("VMA accounting diverges:\nper-page %v\nrange    %v", want.vmas, got.vmas)
-			}
-			diffLeaves(t, "guest", want.leaves, got.leaves)
-			diffLeaves(t, "host", want.hostLeaves, got.hostLeaves)
 		})
 	}
+}
+
+// compareSnapshots reports every way the range-path snapshot got
+// differs from the per-page reference want.
+func compareSnapshots(t *testing.T, want, got popSnapshot) {
+	t.Helper()
+	if want.clock != got.clock {
+		t.Errorf("guest clock: per-page %d, range %d", want.clock, got.clock)
+	}
+	if want.hostClock != got.hostClock {
+		t.Errorf("host clock: per-page %d, range %d", want.hostClock, got.hostClock)
+	}
+	if !reflect.DeepEqual(want.stats, got.stats) {
+		t.Errorf("guest stats diverge:\nper-page %+v\nrange    %+v", want.stats, got.stats)
+	}
+	if !reflect.DeepEqual(want.hostStats, got.hostStats) {
+		t.Errorf("host stats diverge:\nper-page %+v\nrange    %+v", want.hostStats, got.hostStats)
+	}
+	diffFaults(t, "guest", want.faults, got.faults)
+	diffFaults(t, "host", want.hostFaults, got.hostFaults)
+	if !reflect.DeepEqual(want.vmas, got.vmas) {
+		t.Errorf("VMA accounting diverges:\nper-page %v\nrange    %v", want.vmas, got.vmas)
+	}
+	diffLeaves(t, "guest", want.leaves, got.leaves)
+	diffLeaves(t, "host", want.hostLeaves, got.hostLeaves)
 }
 
 func diffFaults(t *testing.T, dim string, want, got []trace.Event) {
