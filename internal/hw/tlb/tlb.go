@@ -12,11 +12,22 @@ import (
 	"repro/internal/trace"
 )
 
+// entry is one way. key packs the page number (4K or 2M VPN) with the
+// page size and a valid bit, tag<<2 | huge<<1 | 1, so a probe compares
+// one word per way and an empty way (key 0) matches nothing. 16 bytes:
+// a 4-way set fills one 64-byte cache line.
 type entry struct {
-	valid bool
-	huge  bool
-	tag   uint64 // page number (4K VPN or 2M VPN)
-	lru   uint64
+	key uint64
+	lru uint64
+}
+
+// key packs a tag and its page size into an entry key.
+func key(tag uint64, huge bool) uint64 {
+	k := tag<<2 | 1
+	if huge {
+		k |= 2
+	}
+	return k
 }
 
 // TLB is a unified set-associative translation cache. The ways of all
@@ -122,9 +133,9 @@ func (t *TLB) Lookup(va addr.VirtAddr) bool {
 
 // probe searches one set for (tag, huge), refreshing LRU on hit.
 func (t *TLB) probe(tag uint64, huge bool) bool {
-	set := t.set(tag)
+	set, k := t.set(tag), key(tag, huge)
 	for i := range set {
-		if set[i].valid && set[i].huge == huge && set[i].tag == tag {
+		if set[i].key == k {
 			set[i].lru = t.tick
 			return true
 		}
@@ -143,7 +154,7 @@ func (t *TLB) Insert(va addr.VirtAddr, huge bool) {
 	set := t.set(tag)
 	victim := 0
 	for i := range set {
-		if !set[i].valid {
+		if set[i].key == 0 {
 			victim = i
 			break
 		}
@@ -151,18 +162,14 @@ func (t *TLB) Insert(va addr.VirtAddr, huge bool) {
 			victim = i
 		}
 	}
-	if set[victim].valid {
-		t.sizeCount(set[victim].huge, -1)
+	if old := set[victim].key; old != 0 {
+		t.sizeCount(old&2 != 0, -1)
 		if t.tr != nil {
-			h := uint64(0)
-			if set[victim].huge {
-				h = 1
-			}
-			t.tr.Emit(trace.EvTLBEvict, set[victim].tag, h, 0)
+			t.tr.Emit(trace.EvTLBEvict, old>>2, old>>1&1, 0)
 		}
 	}
 	t.sizeCount(huge, +1)
-	set[victim] = entry{valid: true, huge: huge, tag: tag, lru: t.tick}
+	set[victim] = entry{key: key(tag, huge), lru: t.tick}
 }
 
 // sizeCount adjusts the per-page-size valid-entry counter.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/mem/addr"
+	"repro/internal/trace"
 )
 
 func TestColdMissThenHit(t *testing.T) {
@@ -134,11 +135,121 @@ func TestGeometryRounding(t *testing.T) {
 	New(5, 4)
 }
 
-func BenchmarkLookupHit(b *testing.B) {
-	tl := New(1536, 6)
-	tl.Insert(0x1000, false)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tl.Lookup(0x1000)
+// topVA is the last byte of the 48-bit virtual address space: its page
+// numbers are the widest tags a key must hold.
+const topVA = addr.VirtAddr(1<<48 - 1)
+
+// TestPageSizesDoNotAlias checks that a 4K entry and a 2M entry whose
+// page numbers are numerically equal never hit for each other, from
+// the bottom of the address space to its top.
+func TestPageSizesDoNotAlias(t *testing.T) {
+	for _, tag := range []uint64{5, uint64(topVA) >> addr.HugeShift} {
+		small := addr.VirtAddr(tag << addr.PageShift) // 4K tag == tag
+		huge := addr.VirtAddr(tag << addr.HugeShift)  // 2M tag == tag
+
+		tl := New(1536, 6)
+		tl.Insert(huge, true)
+		if !tl.Lookup(huge) {
+			t.Fatalf("tag %#x: resident 2M entry missed", tag)
+		}
+		tl.Insert(0, false) // keep the 4K probe live
+		if tl.Lookup(small) {
+			t.Fatalf("tag %#x: 4K lookup hit the 2M entry with the same tag", tag)
+		}
+
+		tl = New(1536, 6)
+		tl.Insert(small, false)
+		tl.Insert(huge+addr.HugeSize, true) // keep the 2M probe live
+		if tl.Lookup(huge) {
+			t.Fatalf("tag %#x: 2M lookup hit the 4K entry with the same tag", tag)
+		}
+		if !tl.Lookup(small) {
+			t.Fatalf("tag %#x: resident 4K entry missed", tag)
+		}
+	}
+	tl := New(64, 4)
+	top4K := topVA &^ (addr.PageSize - 1)
+	tl.Insert(top4K, false)
+	if !tl.Lookup(topVA) || tl.Lookup(top4K-addr.PageSize) {
+		t.Fatal("top 4K page of the 48-bit range mis-keyed")
+	}
+}
+
+// TestEvictEventArgs checks that an eviction reports the victim's page
+// number and size — unpacked from its key — as the tlb.evict
+// arguments (tag, huge), for tags up to the top of the 48-bit range.
+func TestEvictEventArgs(t *testing.T) {
+	tr := trace.New()
+	tl := New(2, 2) // one set: every insert past two evicts the LRU way
+	tl.SetTracer(tr)
+	ins := []struct {
+		va   addr.VirtAddr
+		huge bool
+	}{
+		{topVA, false},
+		{topVA, true},
+		{0x1000, false},  // evicts the top 4K page
+		{0x200000, true}, // evicts the top 2M page
+		{0x3000, false},  // evicts 0x1000
+	}
+	for _, in := range ins {
+		tl.Insert(in.va, in.huge)
+	}
+	want := [][2]uint64{
+		{uint64(topVA) >> addr.PageShift, 0},
+		{uint64(topVA) >> addr.HugeShift, 1},
+		{1, 0},
+	}
+	var got [][2]uint64
+	for _, e := range tr.Events() {
+		if e.Kind == trace.EvTLBEvict {
+			got = append(got, [2]uint64{e.A, e.B})
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("evictions %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("eviction %d = (tag %#x, huge %d), want (%#x, %d)", i, got[i][0], got[i][1], want[i][0], want[i][1])
+		}
+	}
+}
+
+// BenchmarkTLBLookup measures Lookup on a warm TLB over a working set
+// that fits it: 4K-only (one probe per lookup), mixed 4K+2M (the 2M
+// probe runs after each 4K probe misses on half the set), and the
+// paper's 1536-entry 6-way geometry. Each variant reports 0 allocs/op.
+func BenchmarkTLBLookup(b *testing.B) {
+	for _, bc := range []struct {
+		name          string
+		entries, ways int
+		mixed         bool
+	}{
+		{"4k", 32, 4, false},
+		{"mixed", 32, 4, true},
+		{"paper-1536x6", 1536, 6, true},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			tl := New(bc.entries, bc.ways)
+			vas := make([]addr.VirtAddr, tl.Entries())
+			for i := range vas {
+				huge := bc.mixed && i%2 == 1
+				if huge {
+					vas[i] = addr.VirtAddr(uint64(i) * addr.HugeSize)
+				} else {
+					vas[i] = addr.VirtAddr(uint64(i) * addr.PageSize)
+				}
+				tl.Insert(vas[i], huge)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i, j := 0, 0; i < b.N; i++ {
+				tl.Lookup(vas[j])
+				if j++; j == len(vas) {
+					j = 0
+				}
+			}
+		})
 	}
 }

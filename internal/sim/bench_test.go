@@ -4,8 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/hw/tlb"
-	"repro/internal/mem/addr"
 	"repro/internal/osim"
 	"repro/internal/workloads"
 )
@@ -81,22 +79,6 @@ func BenchmarkRunNested(b *testing.B) {
 		if err := m.step(accs[i%len(accs)]); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkTLBLookup isolates the set-associative probe (the
-// first-touch cost of every simulated access).
-func BenchmarkTLBLookup(b *testing.B) {
-	t := tlb.New(32, 4)
-	vas := make([]addr.VirtAddr, 256)
-	for i := range vas {
-		vas[i] = addr.VirtAddr(uint64(i) * addr.PageSize)
-		t.Insert(vas[i], false)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t.Lookup(vas[i%len(vas)])
 	}
 }
 

@@ -169,7 +169,7 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		}
 
 		t.mu.Lock()
-		events := append([]Event(nil), t.events...)
+		events := t.eventsLocked()
 		phases := append([]string(nil), t.phases...)
 		t.mu.Unlock()
 
@@ -326,7 +326,7 @@ func (t *Tracer) WriteCounterText(w io.Writer) error {
 	kinds := t.kindCount
 	gaugeNames := append([]string(nil), t.gaugeNames...)
 	gauges := append([]uint64(nil), t.gauges...)
-	stored := len(t.events)
+	stored := t.stored
 	dropped := t.dropped
 	t.mu.Unlock()
 

@@ -164,6 +164,11 @@ type Event struct {
 // events are dropped and counted.
 const DefaultMaxEvents = 4 << 20
 
+// eventBlockLen is how many events one storage block holds (192 KiB).
+// The buffer grows a block at a time, so recording never copies the
+// events already stored.
+const eventBlockLen = 4096
+
 // counterRow is one Sample snapshot: every kind counter plus every
 // registered gauge at a logical timestamp.
 type counterRow struct {
@@ -180,7 +185,8 @@ type Tracer struct {
 	mu sync.Mutex
 
 	max     int
-	events  []Event
+	blocks  [][]Event // full blocks, then the one being filled
+	stored  int
 	dropped uint64
 	seq     uint64
 
@@ -222,12 +228,36 @@ func (t *Tracer) record(k Kind, ts, dur, a, b, c uint64) {
 		ts = t.seq
 	}
 	t.kindCount[k]++
-	if len(t.events) < t.max {
-		t.events = append(t.events, Event{TS: ts, Dur: dur, A: a, B: b, C: c, Kind: k})
-	} else {
-		t.dropped++
-	}
+	t.store(Event{TS: ts, Dur: dur, A: a, B: b, C: c, Kind: k})
 	t.mu.Unlock()
+}
+
+// store appends e to the event buffer, or counts it dropped once the
+// buffer holds max events. The caller holds t.mu.
+func (t *Tracer) store(e Event) {
+	if t.stored >= t.max {
+		t.dropped++
+		return
+	}
+	if t.stored%eventBlockLen == 0 {
+		t.blocks = append(t.blocks, make([]Event, 0, min(eventBlockLen, t.max-t.stored)))
+	}
+	last := &t.blocks[len(t.blocks)-1]
+	*last = append(*last, e)
+	t.stored++
+}
+
+// eventsLocked returns a copy of the stored events in emission order,
+// nil when there are none. The caller holds t.mu.
+func (t *Tracer) eventsLocked() []Event {
+	if t.stored == 0 {
+		return nil
+	}
+	out := make([]Event, 0, t.stored)
+	for _, b := range t.blocks {
+		out = append(out, b...)
+	}
+	return out
 }
 
 // Emit records an instant event of kind k with arguments a, b, c.
@@ -266,11 +296,7 @@ func (t *Tracer) EmitSpan(k Kind, start, a, b, c uint64) {
 		ts = t.seq
 	}
 	t.kindCount[k]++
-	if len(t.events) < t.max {
-		t.events = append(t.events, Event{TS: ts, Dur: t.seq - ts, A: a, B: b, C: c, Kind: k})
-	} else {
-		t.dropped++
-	}
+	t.store(Event{TS: ts, Dur: t.seq - ts, A: a, B: b, C: c, Kind: k})
 	t.mu.Unlock()
 }
 
@@ -302,11 +328,7 @@ func (t *Tracer) EmitPhase(name string, start uint64) {
 		ts = t.seq
 	}
 	t.kindCount[EvPhase]++
-	if len(t.events) < t.max {
-		t.events = append(t.events, Event{TS: ts, Dur: t.seq - ts, A: uint64(id), Kind: EvPhase})
-	} else {
-		t.dropped++
-	}
+	t.store(Event{TS: ts, Dur: t.seq - ts, A: uint64(id), Kind: EvPhase})
 	t.mu.Unlock()
 }
 
@@ -415,7 +437,7 @@ func (t *Tracer) Events() []Event {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return append([]Event(nil), t.events...)
+	return t.eventsLocked()
 }
 
 // phaseName resolves an interned phase id (EvPhase's A argument).

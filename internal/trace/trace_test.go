@@ -1,8 +1,10 @@
 package trace
 
 import (
+	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // TestNilTracerIsSafe pins the zero-cost contract's API half: every
@@ -213,5 +215,63 @@ func TestKindNamesComplete(t *testing.T) {
 	}
 	if numKinds.String() != "unknown" {
 		t.Error("out-of-range kind should stringify as unknown")
+	}
+}
+
+// TestEventBufferGrowsWithoutCopying records 1M events and bounds the
+// bytes the tracer allocates to within 10% of the bytes it stores: the
+// buffer grows in fixed blocks, so no stored event is ever copied into
+// a larger array. Events must still return every event in order.
+func TestEventBufferGrowsWithoutCopying(t *testing.T) {
+	const n = 1 << 20
+	tr := New()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := uint64(0); i < n; i++ {
+		switch i % 3 {
+		case 0:
+			tr.Emit(EvBuddySplit, i, 0, 0)
+		case 1:
+			tr.EmitDur(EvWalkNative, 7, i, 0, 0)
+		default:
+			tr.EmitSpan(EvSimBatch, tr.Start(), i, 0, 0)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	stored := uint64(n) * uint64(unsafe.Sizeof(Event{}))
+	if got := after.TotalAlloc - before.TotalAlloc; float64(got) > 1.1*float64(stored) {
+		t.Fatalf("recording %d events (%d B) allocated %d B", n, stored, got)
+	}
+	evs := tr.Events()
+	if len(evs) != n {
+		t.Fatalf("Events() = %d events, want %d", len(evs), n)
+	}
+	for i, e := range evs {
+		if e.A != uint64(i) {
+			t.Fatalf("event %d has A = %d", i, e.A)
+		}
+	}
+}
+
+// TestEventCapAcrossBlocks checks a cap that is not a multiple of the
+// block length: exactly max events are stored, in order, and the rest
+// are counted dropped.
+func TestEventCapAcrossBlocks(t *testing.T) {
+	const max = 2*eventBlockLen + 5
+	tr := NewCapped(max)
+	for i := uint64(0); i < max+100; i++ {
+		tr.Emit(EvTLBMiss, i, 0, 0)
+	}
+	evs := tr.Events()
+	if len(evs) != max || tr.Dropped() != 100 || tr.Count(EvTLBMiss) != max+100 {
+		t.Fatalf("stored %d, dropped %d, counted %d", len(evs), tr.Dropped(), tr.Count(EvTLBMiss))
+	}
+	for i, e := range evs {
+		if e.A != uint64(i) {
+			t.Fatalf("event %d has A = %d", i, e.A)
+		}
+	}
+	if c := cap(tr.blocks[len(tr.blocks)-1]); c != 5 {
+		t.Fatalf("last block capacity %d, want 5 (the cap's remainder)", c)
 	}
 }

@@ -333,36 +333,26 @@ type Workload interface {
 	// Setup allocates and populates memory in env.
 	Setup(env *Env, rng *rand.Rand) error
 	// Stream returns a deterministic access stream of n references for
-	// the measured phase. Setup must have been called on env.
+	// the measured phase. Setup must have been called on env. The
+	// stream owns rng from then on and draws from it ahead of the
+	// accesses it has handed out, so callers pass a fresh
+	// rand.New(rand.NewSource(seed)) and never draw from it again. With
+	// such a source the stream is the one rng.Intn/rng.Uint64 calls made
+	// one access at a time would give.
 	Stream(rng *rand.Rand, n uint64) Stream
 }
 
-// funcStream adapts a generator function to Stream.
-type funcStream struct {
-	n    uint64
-	i    uint64
-	next func() Access
-}
+// quota is the access budget every stream generator embeds.
+type quota struct{ left uint64 }
 
-func (s *funcStream) Next() (Access, bool) {
-	if s.i >= s.n {
-		return Access{}, false
+// take claims up to want accesses of the remaining budget and returns
+// how many it got.
+func (q *quota) take(want int) int {
+	n := uint64(want)
+	if q.left < n {
+		n = q.left
 	}
-	s.i++
-	return s.next(), true
-}
-
-// Fill implements BatchStream natively: one generator call per slot,
-// in exactly the order Next would have produced.
-func (s *funcStream) Fill(buf []Access) int {
-	n := uint64(len(buf))
-	if rem := s.n - s.i; rem < n {
-		n = rem
-	}
-	for i := uint64(0); i < n; i++ {
-		buf[i] = s.next()
-	}
-	s.i += n
+	q.left -= n
 	return int(n)
 }
 
@@ -374,19 +364,20 @@ type region struct {
 
 func regionOf(v *vma.VMA) region { return region{start: v.Start, pages: v.Pages()} }
 
-// pageVA returns the VA of the page at index i within the region.
-func (r region) pageVA(i uint64) addr.VirtAddr {
-	return r.start.Add((i % r.pages) * addr.PageSize)
-}
+// pageVA returns the VA of the page at index i mod r.pages: the one
+// 64-bit divide a stream pays, on the rare accesses indexed by a full
+// random draw.
+func (r region) pageVA(i uint64) addr.VirtAddr { return r.page(i % r.pages) }
 
-// seqWalker strides through a region page by page, wrapping.
-type seqWalker struct {
-	r   region
-	pos uint64
-}
+// page returns the VA of the page at index i < r.pages.
+func (r region) page(i uint64) addr.VirtAddr { return r.start.Add(i * addr.PageSize) }
 
-func (w *seqWalker) next() addr.VirtAddr {
-	va := w.r.pageVA(w.pos)
-	w.pos++
-	return va
+// step returns (i + d) mod r.pages for i < r.pages and d < r.pages by
+// compare-and-subtract: how the sequential walkers advance and wrap.
+func (r region) step(i, d uint64) uint64 {
+	i += d
+	if i >= r.pages {
+		i -= r.pages
+	}
+	return i
 }

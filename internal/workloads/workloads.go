@@ -139,29 +139,55 @@ func (s *SVM) Setup(env *Env, rng *rand.Rand) error {
 // instruction hopping across the scattered small VMAs that produces
 // the paper's unpredictable miss tail (§VI-B).
 func (s *SVM) Stream(rng *rand.Rand, n uint64) Stream {
-	// Sparse row strides: larger than a huge page, so nearly every
-	// reference of these PCs lands on a fresh 2 MiB region.
-	strideA := &seqWalker{r: s.features}
-	strideB := &seqWalker{r: s.features, pos: s.features.pages / 3}
-	return &funcStream{n: n, next: func() Access {
-		switch x := rng.Intn(1000); {
+	g := &svmStream{quota: quota{n}, features: s.features, model: s.model, small: s.small, b: s.features.pages / 3}
+	g.d.init(rng)
+	return g
+}
+
+// svmStream is SVM's generator. a and b are the two sparse row scans'
+// page indexes; their strides (700 and 1300 pages) are below the
+// feature region's page count, so step's single wrap suffices.
+type svmStream struct {
+	quota
+	d        draws
+	features region
+	model    region
+	small    []region
+	a, b     uint64
+}
+
+func (g *svmStream) Next() (Access, bool) {
+	var a [1]Access
+	ok := g.Fill(a[:]) == 1
+	return a[0], ok
+}
+
+func (g *svmStream) Fill(buf []Access) int {
+	buf = buf[:g.take(len(buf))]
+	f := g.features
+	for i := range buf {
+		g.d.reserve()
+		switch x := g.d.intn(1000); {
 		case x < 5: // sparse row scan, instruction A
-			strideA.pos += 700
-			return Access{PC: pc(1, 0), VA: strideA.next()}
+			g.a = f.step(g.a, 700)
+			buf[i] = Access{PC: pc(1, 0), VA: f.page(g.a)}
+			g.a = f.step(g.a, 1)
 		case x < 9: // sparse row scan, instruction B
-			strideB.pos += 1300
-			return Access{PC: pc(1, 1), VA: strideB.next()}
+			g.b = f.step(g.b, 1300)
+			buf[i] = Access{PC: pc(1, 1), VA: f.page(g.b)}
+			g.b = f.step(g.b, 1)
 		case x < 100: // dense in-row accesses (page-sequential)
-			return Access{PC: pc(1, 5), VA: strideA.r.pageVA(strideA.pos + uint64(rng.Intn(8)))}
+			buf[i] = Access{PC: pc(1, 5), VA: f.page(f.step(g.a, uint64(g.d.intn(8))))}
 		case x < 985: // hot model vector (TLB resident)
-			return Access{PC: pc(1, 2), VA: s.model.pageVA(uint64(rng.Intn(8))), Write: true}
+			buf[i] = Access{PC: pc(1, 2), VA: g.model.page(uint64(g.d.intn(8))), Write: true}
 		case x < 996: // random feature gather
-			return Access{PC: pc(1, 3), VA: s.features.pageVA(rng.Uint64())}
+			buf[i] = Access{PC: pc(1, 3), VA: f.pageVA(g.d.u64())}
 		default: // irregular hops across scattered small VMAs
-			r := s.small[rng.Intn(len(s.small))]
-			return Access{PC: pc(1, 4), VA: r.pageVA(rng.Uint64())}
+			r := g.small[g.d.intn(svmSmallVMACount)]
+			buf[i] = Access{PC: pc(1, 4), VA: r.pageVA(g.d.u64())}
 		}
-	}}
+	}
+	return len(buf)
 }
 
 // ----------------------------------------------------------- PageRank
@@ -226,19 +252,43 @@ func (p *PageRank) Setup(env *Env, rng *rand.Rand) error {
 
 // Stream implements Workload.
 func (p *PageRank) Stream(rng *rand.Rand, n uint64) Stream {
-	seq := &seqWalker{r: p.edges}
-	hot := uint64(0)
-	return &funcStream{n: n, next: func() Access {
-		switch x := rng.Intn(1000); {
+	g := &pagerankStream{quota: quota{n}, edges: p.edges, vertices: p.vertices}
+	g.d.init(rng)
+	return g
+}
+
+// pagerankStream is PageRank's generator: seq walks the edge array,
+// hot cycles through the first 8 vertex pages.
+type pagerankStream struct {
+	quota
+	d        draws
+	edges    region
+	vertices region
+	seq, hot uint64
+}
+
+func (g *pagerankStream) Next() (Access, bool) {
+	var a [1]Access
+	ok := g.Fill(a[:]) == 1
+	return a[0], ok
+}
+
+func (g *pagerankStream) Fill(buf []Access) int {
+	buf = buf[:g.take(len(buf))]
+	for i := range buf {
+		g.d.reserve()
+		switch x := g.d.intn(1000); {
 		case x < 300: // edge stream
-			return Access{PC: pc(2, 0), VA: seq.next()}
+			buf[i] = Access{PC: pc(2, 0), VA: g.edges.page(g.seq)}
+			g.seq = g.edges.step(g.seq, 1)
 		case x < 318: // random vertex ranks (one big mapping)
-			return Access{PC: pc(2, 1), VA: p.vertices.pageVA(rng.Uint64()), Write: true}
+			buf[i] = Access{PC: pc(2, 1), VA: g.vertices.pageVA(g.d.u64()), Write: true}
 		default: // hot frontier/accumulator pages
-			hot++
-			return Access{PC: pc(2, 2), VA: p.vertices.pageVA(hot % 8), Write: true}
+			g.hot = (g.hot + 1) & 7
+			buf[i] = Access{PC: pc(2, 2), VA: g.vertices.page(g.hot), Write: true}
 		}
-	}}
+	}
+	return len(buf)
 }
 
 // ----------------------------------------------------------- hashjoin
@@ -286,18 +336,44 @@ func (h *HashJoin) Setup(env *Env, rng *rand.Rand) error {
 // Stream implements Workload: 10 interleaved "threads", each with its
 // own probe instruction, all uniformly random over the whole table.
 func (h *HashJoin) Stream(rng *rand.Rand, n uint64) Stream {
-	thread := 0
-	return &funcStream{n: n, next: func() Access {
-		thread = (thread + 1) % 10
-		switch x := rng.Intn(1000); {
-		case x < 7: // random probe, thread-specific PC
-			return Access{PC: pc(3, thread), VA: h.table.pageVA(rng.Uint64())}
-		case x < 10: // chained bucket walk (second dependent load)
-			return Access{PC: pc(3, 10+thread), VA: h.table.pageVA(rng.Uint64())}
-		default: // per-thread output buffer (hot)
-			return Access{PC: pc(3, 20+thread), VA: h.buf.pageVA(uint64(thread)), Write: true}
+	g := &hashjoinStream{quota: quota{n}, table: h.table, buf: h.buf}
+	g.d.init(rng)
+	return g
+}
+
+// hashjoinStream is HashJoin's generator; thread round-robins 0..9.
+type hashjoinStream struct {
+	quota
+	d      draws
+	table  region
+	buf    region
+	thread int
+}
+
+func (g *hashjoinStream) Next() (Access, bool) {
+	var a [1]Access
+	ok := g.Fill(a[:]) == 1
+	return a[0], ok
+}
+
+func (g *hashjoinStream) Fill(buf []Access) int {
+	buf = buf[:g.take(len(buf))]
+	for i := range buf {
+		g.d.reserve()
+		if g.thread++; g.thread == 10 {
+			g.thread = 0
 		}
-	}}
+		t := g.thread
+		switch x := g.d.intn(1000); {
+		case x < 7: // random probe, thread-specific PC
+			buf[i] = Access{PC: pc(3, t), VA: g.table.pageVA(g.d.u64())}
+		case x < 10: // chained bucket walk (second dependent load)
+			buf[i] = Access{PC: pc(3, 10+t), VA: g.table.pageVA(g.d.u64())}
+		default: // per-thread output buffer (hot)
+			buf[i] = Access{PC: pc(3, 20+t), VA: g.buf.page(uint64(t)), Write: true}
+		}
+	}
+	return len(buf)
 }
 
 // ------------------------------------------------------------ XSBench
@@ -341,16 +417,40 @@ func (x *XSBench) Setup(env *Env, rng *rand.Rand) error {
 
 // Stream implements Workload.
 func (x *XSBench) Stream(rng *rand.Rand, n uint64) Stream {
-	return &funcStream{n: n, next: func() Access {
-		switch v := rng.Intn(1000); {
+	g := &xsbenchStream{quota: quota{n}, grids: x.grids, unionized: x.unionized}
+	g.d.init(rng)
+	return g
+}
+
+// xsbenchStream is XSBench's generator.
+type xsbenchStream struct {
+	quota
+	d         draws
+	grids     region
+	unionized region
+}
+
+func (g *xsbenchStream) Next() (Access, bool) {
+	var a [1]Access
+	ok := g.Fill(a[:]) == 1
+	return a[0], ok
+}
+
+func (g *xsbenchStream) Fill(buf []Access) int {
+	buf = buf[:g.take(len(buf))]
+	for i := range buf {
+		g.d.reserve()
+		switch v := g.d.intn(1000); {
 		case v < 12: // random nuclide grid lookup
-			return Access{PC: pc(4, rng.Intn(10)), VA: x.grids.pageVA(rng.Uint64())}
+			nuclide := g.d.intn(10)
+			buf[i] = Access{PC: pc(4, nuclide), VA: g.grids.pageVA(g.d.u64())}
 		case v < 14: // unionized grid binary-search probes
-			return Access{PC: pc(4, 20), VA: x.unionized.pageVA(rng.Uint64())}
+			buf[i] = Access{PC: pc(4, 20), VA: g.unionized.pageVA(g.d.u64())}
 		default: // per-particle hot state
-			return Access{PC: pc(4, 30), VA: x.unionized.pageVA(uint64(v % 4)), Write: true}
+			buf[i] = Access{PC: pc(4, 30), VA: g.unionized.page(uint64(v & 3)), Write: true}
 		}
-	}}
+	}
+	return len(buf)
 }
 
 // ----------------------------------------------------------------- BT
@@ -406,29 +506,53 @@ func (b *BT) Setup(env *Env, rng *rand.Rand) error {
 
 // Stream implements Workload.
 func (b *BT) Stream(rng *rand.Rand, n uint64) Stream {
-	// Plane stride for the z sweep: 4096 pages (16 MiB planes) — at or
-	// above the size of the fragments CA produces for BT, so the
-	// sweeping instructions hop mappings on almost every miss. Their
-	// offsets never gain confidence: SpOT abstains (no-prediction)
-	// instead of flushing the pipeline, the §IV-C behaviour.
-	const plane = 4096
-	zpos := make([]uint64, btArrays)
-	seqs := make([]*seqWalker, btArrays)
-	for i := range seqs {
-		seqs[i] = &seqWalker{r: b.arrays[i]}
-	}
-	return &funcStream{n: n, next: func() Access {
-		a := rng.Intn(btArrays)
-		switch x := rng.Intn(1000); {
+	g := &btStream{quota: quota{n}}
+	copy(g.arrays[:], b.arrays)
+	g.d.init(rng)
+	return g
+}
+
+// btPlane is the z sweep's stride: 4096 pages (16 MiB planes), at or
+// above the size of the fragments CA produces for BT, so the sweeping
+// instructions hop mappings on almost every miss. Their offsets never
+// gain confidence: SpOT abstains (no-prediction) instead of flushing
+// the pipeline, the §IV-C behaviour. It is below an array's page
+// count, so step's single wrap suffices.
+const btPlane = 4096
+
+// btStream is BT's generator: per array, z is the plane-strided sweep's
+// page index and x the sequential sweep's.
+type btStream struct {
+	quota
+	d      draws
+	arrays [btArrays]region
+	z, x   [btArrays]uint64
+}
+
+func (g *btStream) Next() (Access, bool) {
+	var a [1]Access
+	ok := g.Fill(a[:]) == 1
+	return a[0], ok
+}
+
+func (g *btStream) Fill(buf []Access) int {
+	buf = buf[:g.take(len(buf))]
+	for i := range buf {
+		g.d.reserve()
+		a := g.d.intn(btArrays)
+		r := &g.arrays[a]
+		switch x := g.d.intn(1000); {
 		case x < 6: // z sweep: plane-strided, misses constantly
-			zpos[a] += plane
-			return Access{PC: pc(5, a), VA: b.arrays[a].pageVA(zpos[a]), Write: true}
+			g.z[a] = r.step(g.z[a], btPlane)
+			buf[i] = Access{PC: pc(5, a), VA: r.page(g.z[a]), Write: true}
 		case x < 150: // x sweep: sequential
-			return Access{PC: pc(5, 10+a), VA: seqs[a].next()}
+			buf[i] = Access{PC: pc(5, 10+a), VA: r.page(g.x[a])}
+			g.x[a] = r.step(g.x[a], 1)
 		default: // stencil locals (hot)
-			return Access{PC: pc(5, 20+a), VA: b.arrays[a].pageVA(uint64(x % 4))}
+			buf[i] = Access{PC: pc(5, 20+a), VA: r.page(uint64(x & 3))}
 		}
-	}}
+	}
+	return len(buf)
 }
 
 // All returns the five paper workloads in Table III order.
